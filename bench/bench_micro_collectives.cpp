@@ -13,59 +13,53 @@ namespace {
 using dynkge::comm::Cluster;
 using dynkge::comm::Communicator;
 using dynkge::comm::CostModel;
+using dynkge::comm::FaultInjector;
+using dynkge::comm::ScalarOp;
+using dynkge::comm::Slots;
 
-void BM_AllReduceSum(benchmark::State& state) {
+void BM_AllReduceScalar(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
-  const std::size_t elems = static_cast<std::size_t>(state.range(1));
   Cluster cluster(ranks);
   for (auto _ : state) {
     cluster.run([&](Communicator& comm) {
-      std::vector<float> data(elems, 1.0f);
-      comm.allreduce_sum_inplace(data);
-      benchmark::DoNotOptimize(data.data());
+      double value = comm.rank();
+      for (int i = 0; i < 100; ++i) {
+        value = comm.allreduce_scalar(value, ScalarOp::kMax);
+      }
+      benchmark::DoNotOptimize(value);
     });
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          ranks * elems * sizeof(float));
+  state.SetItemsProcessed(state.iterations() * 100);
 }
-BENCHMARK(BM_AllReduceSum)
-    ->Args({2, 1 << 10})
-    ->Args({4, 1 << 10})
-    ->Args({8, 1 << 10})
-    ->Args({4, 1 << 14});
+BENCHMARK(BM_AllReduceScalar)->Arg(2)->Arg(4)->Arg(8);
 
+/// Zero-copy gather; the consumer touches every slot once, as the
+/// owner-computes merge does. Range(2) = 1 arms wire checksums.
 void BM_AllGatherV(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   const std::size_t bytes = static_cast<std::size_t>(state.range(1));
+  FaultInjector checksums({});
   Cluster cluster(ranks);
+  if (state.range(2) != 0) cluster.set_fault_injector(&checksums);
   for (auto _ : state) {
     cluster.run([&](Communicator& comm) {
-      std::vector<std::byte> local(bytes, std::byte{1});
-      std::vector<std::byte> out;
-      std::vector<std::size_t> counts;
-      comm.allgatherv_bytes(local, out, counts);
-      benchmark::DoNotOptimize(out.data());
+      const std::vector<std::byte> local(bytes, std::byte{1});
+      std::size_t seen = 0;
+      comm.allgatherv(local, [&](Slots slots) {
+        for (const auto slot : slots) seen += slot.size();
+      });
+      benchmark::DoNotOptimize(seen);
     });
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           ranks * bytes);
 }
 BENCHMARK(BM_AllGatherV)
-    ->Args({2, 4 << 10})
-    ->Args({4, 4 << 10})
-    ->Args({8, 4 << 10});
-
-void BM_Barrier(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  Cluster cluster(ranks);
-  for (auto _ : state) {
-    cluster.run([&](Communicator& comm) {
-      for (int i = 0; i < 100; ++i) comm.barrier();
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8);
+    ->Args({2, 4 << 10, 0})
+    ->Args({4, 4 << 10, 0})
+    ->Args({8, 4 << 10, 0})
+    ->Args({4, 256 << 10, 0})
+    ->Args({4, 256 << 10, 1});
 
 void BM_CostModelAllReduce(benchmark::State& state) {
   const CostModel model;

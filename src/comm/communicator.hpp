@@ -19,7 +19,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -51,8 +51,6 @@ class Barrier {
   /// Wake every waiter and make all current/future waits throw.
   void abort();
 
-  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
-
  private:
   const int num_ranks_;
   std::mutex mu_;
@@ -75,32 +73,37 @@ struct CommEvent {
 };
 
 /// Staging area shared by all ranks of one cluster. Slots are valid between
-/// the publish barrier and the release barrier of a single collective.
+/// the publish barrier and the release barrier of a single collective: a
+/// slot points into its publisher's own buffer, which the publisher must
+/// leave untouched until it passes the release barrier.
 struct SharedState {
   explicit SharedState(int num_ranks)
       : barrier(num_ranks),
-        ptr(num_ranks, nullptr),
-        size(num_ranks, 0),
+        slot(num_ranks),
         clock(num_ranks, 0.0),
         scalar(num_ranks, 0.0),
         checksum(num_ranks, 0),
+        received(num_ranks, 0),
         fault(num_ranks) {}
 
   Barrier barrier;
-  std::vector<const std::byte*> ptr;
-  std::vector<std::size_t> size;
+  std::vector<std::span<const std::byte>> slot;
   std::vector<double> clock;
   std::vector<double> scalar;
-  /// FNV-1a digest of the rank's *intended* payload (+ scalar slot),
-  /// published alongside it when a fault injector arms wire integrity.
-  /// Receivers verify every slot against it — see
-  /// Communicator::publish_and_sync.
+  /// With wire integrity armed: FNV-1a digests of the rank's *intended*
+  /// payload (+ scalar slot) and of the bytes it actually placed in the
+  /// slot (the corrupted copy when a corrupt fault fires). Each slot is
+  /// hashed once, by its publisher — see Communicator::publish_and_sync.
   std::vector<std::uint64_t> checksum;
+  std::vector<std::uint64_t> received;
   /// Per-rank fatal-fault verdicts for the current collective's entry
   /// phase (see Communicator::check_faults). Each rank writes only its own
   /// slot before the verdict barrier and reads the others after it.
   std::vector<std::exception_ptr> fault;
 };
+
+/// The payloads of one gather, in rank order (see Communicator::allgatherv).
+using Slots = std::span<const std::span<const std::byte>>;
 
 /// One rank's handle to the cluster: identity, collectives, cost accounting
 /// and the simulated clock. Not thread safe across ranks by design — each
@@ -118,47 +121,23 @@ class Communicator {
   int size() const { return num_ranks_; }
   bool is_root() const { return rank_ == 0; }
 
-  /// Synchronize all ranks (and charge the modeled barrier latency).
-  void barrier();
-
-  /// Root's `data` is copied into every other rank's `data`.
-  template <typename T>
-  void broadcast(std::span<T> data, int root);
-
-  /// Element-wise sum across ranks; every rank receives the full result.
-  /// `in` and `out` must have equal size and may alias.
-  void allreduce_sum(std::span<const float> in, std::span<float> out);
-  void allreduce_sum_inplace(std::span<float> data);
-
   /// Reduce one double across ranks; every rank receives the result.
   double allreduce_scalar(double value, ScalarOp op);
 
-  /// Concatenate the byte payloads of all ranks in rank order. `counts[r]`
-  /// receives rank r's contribution size. When `charge_cost` is false the
-  /// clocks are still aligned (it is a synchronization point) but no
-  /// modeled time or bytes are recorded — the caller accounts via charge().
-  void allgatherv_bytes(std::span<const std::byte> local,
-                        std::vector<std::byte>& out,
-                        std::vector<std::size_t>& counts,
-                        bool charge_cost = true);
-
-  /// Typed convenience wrapper over allgatherv_bytes. counts are in
-  /// elements, not bytes.
-  template <typename T>
-  void allgatherv(std::span<const T> local, std::vector<T>& out,
-                  std::vector<std::size_t>& counts);
-
-  /// Root holds `all` partitioned by `counts` (elements per rank, summing
-  /// to all.size()); each rank receives its slice in `out`.
-  template <typename T>
-  void scatterv(std::span<const T> all, std::span<const std::size_t> counts,
-                int root, std::vector<T>& out);
-
-  /// Gather every rank's payload at root (rank order). Non-root ranks get
-  /// empty `out`.
-  template <typename T>
-  void gatherv(std::span<const T> local, int root, std::vector<T>& out,
-               std::vector<std::size_t>& counts);
+  /// Gather every rank's byte payload without copying it: publish `local`,
+  /// wait for all ranks, then call `consume(slots)` with the P published
+  /// payloads in rank order. The slots point into the publishers' buffers
+  /// and are valid only inside `consume` — between the publish barrier and
+  /// the release barrier — so a caller that keeps the bytes copies them
+  /// there. When `charge_cost` is false the clocks are still aligned (it is
+  /// a synchronization point) but no modeled time or bytes are recorded —
+  /// the caller accounts via charge().
+  template <typename Consume>
+  void allgatherv(std::span<const std::byte> local, Consume&& consume,
+                  bool charge_cost = true) {
+    consume(publish_gather(local));
+    release_gather(local.size(), charge_cost);
+  }
 
   /// Record the modeled cost of a collective that was *logically* performed
   /// even though the in-process transport did something cheaper (e.g. a
@@ -170,12 +149,9 @@ class Communicator {
   // --- simulated clock -----------------------------------------------
   void sim_add_compute(double seconds) { sim_now_ += seconds; }
   double sim_now() const { return sim_now_; }
-  void sim_reset() { sim_now_ = 0.0; }
 
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
-  const CostModel& cost_model() const { return model_; }
-
   /// Start recording every collective as a CommEvent on this rank's
   /// simulated timeline (profiling aid; adds one vector push per op).
   void enable_trace() { tracing_ = true; }
@@ -186,16 +162,11 @@ class Communicator {
   /// consults it before publishing — see comm/fault.hpp for semantics.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
-  /// Rank-local count of collectives entered so far (the index the fault
-  /// schedule keys on).
-  std::uint64_t collectives_entered() const { return collective_index_; }
-
   /// Tell the injector which training epoch this rank is in, so
   /// epoch-scoped fault events ("crash@1@e2") can fire. -1 (the default)
   /// means "outside any epoch". Set at the top of each epoch by the
   /// trainer; purely rank-local.
   void set_fault_epoch(int epoch) { fault_epoch_ = epoch; }
-  int fault_epoch() const { return fault_epoch_; }
 
  private:
   /// Account one collective: statistics, optional trace entry, and the
@@ -245,23 +216,31 @@ class Communicator {
   ///
   /// With a fault injector attached, wire integrity is armed: every
   /// publish carries an FNV-1a checksum of the intended payload (extended
-  /// over the rank's scalar slot, so scalar collectives are covered too),
-  /// a scheduled kCorrupt fault makes this rank publish a bit-flipped
-  /// copy instead, and after the publish barrier every rank verifies
-  /// every slot against its checksum. All ranks verify identical shared
-  /// state, so the verdict is deterministic: on a mismatch the corrupter
-  /// retransmits (a further publish round under the RetryPolicy, backoff
-  /// modeled on the injector — the simulated clock is never charged, so
-  /// recovered corruption keeps results byte-identical), and once the
-  /// retry budget is exhausted the corrupting rank throws RankFailedError
-  /// while the others unwind with AbortedError.
-  void publish_and_sync(const std::byte* data, std::size_t bytes);
+  /// over the rank's scalar slot, so scalar collectives are covered too)
+  /// and the digest of what it actually placed in its slot — a scheduled
+  /// kCorrupt fault makes this rank publish a bit-flipped copy, hashed
+  /// once more. Each slot is hashed exactly once, by its publisher; after
+  /// the publish barrier every rank compares every slot's pair. All ranks
+  /// compare identical shared state, so the verdict is deterministic: on
+  /// a mismatch the corrupter retransmits (a further publish round under
+  /// the RetryPolicy, backoff modeled on the injector — the simulated
+  /// clock is never charged, so recovered corruption keeps results
+  /// byte-identical), and once the retry budget is exhausted the
+  /// corrupting rank throws RankFailedError while the others unwind with
+  /// AbortedError.
+  void publish_and_sync(std::span<const std::byte> payload);
 
   /// Align the simulated clock to the cluster max (slots must be synced).
   void align_clock();
 
   /// Release barrier: siblings may re-publish after this.
   void release() { state_.barrier.arrive_and_wait(); }
+
+  /// Entry half of allgatherv: fault check, publish, clock alignment.
+  /// Returns the P synced slots.
+  Slots publish_gather(std::span<const std::byte> local);
+  /// Exit half of allgatherv: optional cost charge, then release.
+  void release_gather(std::size_t local_bytes, bool charge_cost);
 
   int rank_;
   int num_ranks_;
@@ -291,8 +270,6 @@ class Cluster {
   explicit Cluster(int num_ranks,
                    CostModelParams params = CostModelParams::aries());
 
-  int num_ranks() const { return num_ranks_; }
-  const CostModel& cost_model() const { return model_; }
 
   /// Run fn on every rank of `pool`; blocks until all ranks finish. If
   /// ranks throw, the others are aborted; when every recorded failure is a
@@ -320,97 +297,5 @@ class Cluster {
   CostModel model_;
   FaultInjector* injector_ = nullptr;
 };
-
-// ----------------------------------------------------------------------
-// Template implementations.
-
-template <typename T>
-void Communicator::broadcast(std::span<T> data, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  check_faults();
-  const std::size_t bytes = data.size_bytes();
-  publish_and_sync(reinterpret_cast<const std::byte*>(data.data()), bytes);
-  align_clock();
-  if (rank_ != root) {
-    std::memcpy(data.data(), state_.ptr[root], state_.size[root]);
-  }
-  const double t = model_.broadcast_time(num_ranks_, bytes);
-  apply_cost(CollectiveKind::kBroadcast, rank_ == root ? bytes : 0, t);
-  release();
-}
-
-template <typename T>
-void Communicator::allgatherv(std::span<const T> local, std::vector<T>& out,
-                              std::vector<std::size_t>& counts) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::byte> raw;
-  std::vector<std::size_t> byte_counts;
-  allgatherv_bytes(std::as_bytes(local), raw, byte_counts);
-  out.resize(raw.size() / sizeof(T));
-  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
-  counts.resize(byte_counts.size());
-  for (std::size_t r = 0; r < byte_counts.size(); ++r) {
-    counts[r] = byte_counts[r] / sizeof(T);
-  }
-}
-
-template <typename T>
-void Communicator::scatterv(std::span<const T> all,
-                            std::span<const std::size_t> counts, int root,
-                            std::vector<T>& out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  check_faults();
-  // Root publishes the full buffer; every rank copies its own slice.
-  publish_and_sync(reinterpret_cast<const std::byte*>(all.data()),
-                   all.size_bytes());
-  align_clock();
-  const auto* root_data = reinterpret_cast<const T*>(state_.ptr[root]);
-  const std::size_t total_elems = state_.size[root] / sizeof(T);
-
-  std::size_t offset = 0;
-  for (int r = 0; r < rank_; ++r) offset += counts[r];
-  const std::size_t mine = counts[rank_];
-  if (offset + mine > total_elems) {
-    throw std::invalid_argument("scatterv: counts exceed payload");
-  }
-  out.assign(root_data + offset, root_data + offset + mine);
-
-  const std::size_t total_bytes = total_elems * sizeof(T);
-  const std::size_t root_bytes = counts[root] * sizeof(T);
-  const double t = model_.scatterv_time(num_ranks_, total_bytes, root_bytes);
-  apply_cost(CollectiveKind::kScatterV,
-             rank_ == root ? total_bytes - root_bytes : 0, t);
-  release();
-}
-
-template <typename T>
-void Communicator::gatherv(std::span<const T> local, int root,
-                           std::vector<T>& out,
-                           std::vector<std::size_t>& counts) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  check_faults();
-  publish_and_sync(reinterpret_cast<const std::byte*>(local.data()),
-                   local.size_bytes());
-  align_clock();
-  counts.assign(num_ranks_, 0);
-  std::size_t total_bytes = 0;
-  for (int r = 0; r < num_ranks_; ++r) {
-    counts[r] = state_.size[r] / sizeof(T);
-    total_bytes += state_.size[r];
-  }
-  out.clear();
-  if (rank_ == root) {
-    out.reserve(total_bytes / sizeof(T));
-    for (int r = 0; r < num_ranks_; ++r) {
-      const auto* p = reinterpret_cast<const T*>(state_.ptr[r]);
-      out.insert(out.end(), p, p + counts[r]);
-    }
-  }
-  const double t = model_.gatherv_time(num_ranks_, total_bytes,
-                                       local.size_bytes());
-  apply_cost(CollectiveKind::kGatherV,
-             rank_ == root ? 0 : local.size_bytes(), t);
-  release();
-}
 
 }  // namespace dynkge::comm

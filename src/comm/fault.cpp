@@ -321,6 +321,11 @@ void FaultInjector::record_retransmit_exhausted() {
   if (m_exhausted_ != nullptr) m_exhausted_->add(1);
 }
 
+void FaultInjector::record_bytes_hashed(std::uint64_t bytes) {
+  bytes_hashed_.fetch_add(bytes, std::memory_order_relaxed);
+  if (m_bytes_hashed_ != nullptr) m_bytes_hashed_->add(bytes);
+}
+
 FaultCounters FaultInjector::counters() const {
   FaultCounters counters;
   counters.crashes = crashes_.load(std::memory_order_relaxed);
@@ -335,6 +340,7 @@ FaultCounters FaultInjector::counters() const {
       corruptions_detected_.load(std::memory_order_relaxed);
   counters.retransmits = retransmits_.load(std::memory_order_relaxed);
   counters.watchdog_trips = watchdog_trips_.load(std::memory_order_relaxed);
+  counters.bytes_hashed = bytes_hashed_.load(std::memory_order_relaxed);
   return counters;
 }
 
@@ -342,7 +348,8 @@ void FaultInjector::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
   if (metrics == nullptr) {
     m_crashes_ = m_transients_ = m_stragglers_ = m_retries_ = m_exhausted_ =
-        m_corrupted_ = m_detected_ = m_retransmits_ = m_watchdog_ = nullptr;
+        m_corrupted_ = m_detected_ = m_retransmits_ = m_watchdog_ =
+            m_bytes_hashed_ = nullptr;
     return;
   }
   m_crashes_ = &metrics->counter("comm.fault.crashes");
@@ -354,6 +361,7 @@ void FaultInjector::set_metrics(obs::MetricsRegistry* metrics) {
   m_detected_ = &metrics->counter("comm.integrity.corruptions_detected");
   m_retransmits_ = &metrics->counter("comm.integrity.retransmits");
   m_watchdog_ = &metrics->counter("comm.integrity.watchdog_trips");
+  m_bytes_hashed_ = &metrics->counter("comm.integrity.bytes_hashed");
 }
 
 }  // namespace dynkge::comm

@@ -171,6 +171,10 @@ struct FaultCounters {
   std::uint64_t retransmits = 0;           ///< re-publishes after detection
   std::uint64_t watchdog_trips = 0;        ///< hangs/stragglers past the
                                            ///< collective deadline
+  /// Bytes run through the integrity hash, cluster-wide: each rank hashes
+  /// its own payload + 8-byte scalar slot once per collective, plus every
+  /// corrupted copy it publishes — never its siblings' slots.
+  std::uint64_t bytes_hashed = 0;
 };
 
 class FaultInjector {
@@ -232,6 +236,8 @@ class FaultInjector {
   /// on the injector (like transient retries), never the training clock.
   void record_retransmit(double backoff_seconds);
   void record_retransmit_exhausted();
+  /// Integrity-hash work: `bytes` more bytes went through FNV-1a.
+  void record_bytes_hashed(std::uint64_t bytes);
 
   /// Optional observability: counters mirrored into `metrics` under
   /// comm.fault.* as they fire. Set before the cluster runs.
@@ -270,6 +276,7 @@ class FaultInjector {
   std::atomic<std::uint64_t> corruptions_detected_{0};
   std::atomic<std::uint64_t> retransmits_{0};
   std::atomic<std::uint64_t> watchdog_trips_{0};
+  std::atomic<std::uint64_t> bytes_hashed_{0};
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* m_crashes_ = nullptr;
@@ -281,6 +288,7 @@ class FaultInjector {
   obs::Counter* m_detected_ = nullptr;
   obs::Counter* m_retransmits_ = nullptr;
   obs::Counter* m_watchdog_ = nullptr;
+  obs::Counter* m_bytes_hashed_ = nullptr;
 };
 
 }  // namespace dynkge::comm

@@ -6,6 +6,8 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "comm/recovery.hpp"
 #include "core/grad_exchange.hpp"
@@ -229,6 +231,10 @@ FederatedReport FederatedTrainer::run_attempt(
   comm::FederatedObserver round_observer(tel);
   std::shared_ptr<FederatedSnapshot> newest;  // rank 0 writes, post-join read
 
+  // Owner-computes delta merge target, shared by the clients (see
+  // core/grad_exchange.hpp).
+  MergedGrads merged(world);
+
   cluster.run([&](Communicator& comm) {
     const int rank = comm.rank();
     const int client = active[static_cast<std::size_t>(rank)];
@@ -249,7 +255,8 @@ FederatedReport FederatedTrainer::run_attempt(
     GradExchange exchange(comm, strategy, dataset_.num_entities(),
                           model->entities().width(),
                           dataset_.num_relations(),
-                          model->relations().width(), tel.trace, rank);
+                          model->relations().width(), merged, tel.trace,
+                          rank);
     PlateauScheduler scheduler(config_.lr, world);
     const kge::NegativeSampler sampler(dataset_);
     const kge::Evaluator evaluator(dataset_);
@@ -283,7 +290,6 @@ FederatedReport FederatedTrainer::run_attempt(
     }
 
     kge::ModelGrads delta = model->make_grads();
-    kge::ModelGrads merged = model->make_grads();
     std::vector<std::int32_t> touched_entities;
     std::vector<std::int32_t> touched_relations;
     std::vector<std::uint8_t> entity_touched(
@@ -405,19 +411,21 @@ FederatedReport FederatedTrainer::run_attempt(
       Rng exchange_rng(
           util::derive_seed(config_.seed, client, round, 0xE7u));
       const ExchangeResult result =
-          exchange.exchange(delta, merged, plan, exchange_rng);
+          exchange.exchange(delta, plan, exchange_rng);
 
       // Everyone applies the same merged average delta (FedAvg with equal
-      // client weights — the uniform partition keeps shards near-equal).
-      for (const std::int32_t id : merged.entity.sorted_ids()) {
-        auto row = model->entities().row(id);
-        const auto d = merged.entity.row(id);
-        for (std::size_t i = 0; i < row.size(); ++i) row[i] += d[i];
-      }
-      for (const std::int32_t id : merged.relation.sorted_ids()) {
-        auto row = model->relations().row(id);
-        const auto d = merged.relation.row(id);
-        for (std::size_t i = 0; i < row.size(); ++i) row[i] += d[i];
+      // client weights — the uniform partition keeps shards near-equal),
+      // reading the owner parts in ascending id order.
+      for (const kge::ModelGrads& part : merged.parts) {
+        for (const auto& [deltas, params] :
+             {std::pair{&part.entity, &model->entities()},
+              std::pair{&part.relation, &model->relations()}}) {
+          for (const std::int32_t id : deltas->sorted_ids()) {
+            auto row = params->row(id);
+            const auto d = deltas->row(id);
+            for (std::size_t i = 0; i < row.size(); ++i) row[i] += d[i];
+          }
+        }
       }
 
       // ---- round accounting (fixed rank order, identical everywhere) ---
@@ -488,12 +496,18 @@ FederatedReport FederatedTrainer::run_attempt(
       const std::string local_blob = kge::encode_residual_maps(
           {&entity_selector.residuals(), &relation_selector.residuals(),
            &exchange.entity_residuals(), &exchange.relation_residuals()});
-      std::vector<std::byte> blob_bytes;
-      std::vector<std::size_t> blob_counts;
-      comm.allgatherv_bytes(
+      std::vector<std::string> blobs;  // rank 0, the snapshot writer, only
+      comm.allgatherv(
           std::as_bytes(
               std::span<const char>(local_blob.data(), local_blob.size())),
-          blob_bytes, blob_counts, /*charge_cost=*/false);
+          [&](comm::Slots slots) {
+            if (rank != 0) return;
+            for (const auto slot : slots) {
+              blobs.emplace_back(reinterpret_cast<const char*>(slot.data()),
+                                 slot.size());
+            }
+          },
+          /*charge_cost=*/false);
       if (rank == 0) {
         auto snap = std::make_shared<FederatedSnapshot>();
         snap->next_round = round + 1;
@@ -507,13 +521,7 @@ FederatedReport FederatedTrainer::run_attempt(
         snap->scheduler_stale_epochs = scheduler_state.stale_epochs;
         snap->scheduler_stopped = scheduler_state.stopped;
         snap->clients = active;
-        std::size_t blob_offset = 0;
-        for (int r = 0; r < world; ++r) {
-          snap->client_residuals.emplace_back(
-              reinterpret_cast<const char*>(blob_bytes.data()) + blob_offset,
-              blob_counts[static_cast<std::size_t>(r)]);
-          blob_offset += blob_counts[static_cast<std::size_t>(r)];
-        }
+        snap->client_residuals = std::move(blobs);
         // Rank 0 only throws from collectives, so both writes complete
         // before any crash can unwind this frame; the cohort join orders
         // them before the supervisor (or the caller) reads.

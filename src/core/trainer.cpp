@@ -78,6 +78,17 @@ std::unique_ptr<kge::KgeModel> clone_model(const kge::KgeModel& source,
   return copy;
 }
 
+/// Append gathered float payloads, in rank order, to `out`.
+void append_floats(comm::Slots slots, std::vector<float>& out) {
+  for (const auto slot : slots) {
+    const std::size_t offset = out.size();
+    out.resize(offset + slot.size() / sizeof(float));
+    if (!slot.empty()) {
+      std::memcpy(out.data() + offset, slot.data(), slot.size());
+    }
+  }
+}
+
 void check_resume_field(const std::string& field, const std::string& expected,
                         const std::string& found) {
   if (expected != found) {
@@ -397,6 +408,10 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
     cluster.set_fault_injector(config_.fault_injector);
   }
 
+  // Owner-computes gradient merge target, shared by the ranks (see
+  // core/grad_exchange.hpp).
+  MergedGrads merged(num_nodes);
+
   cluster.run([&](Communicator& comm) {
     const int rank = comm.rank();
     if (config_.trace_communication && rank == 0) comm.enable_trace();
@@ -441,7 +456,8 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
 
     GradExchange exchange(comm, strategy, dataset_.num_entities(),
                           model->entities().width(), dataset_.num_relations(),
-                          model->relations().width(), tel.trace, rank);
+                          model->relations().width(), merged, tel.trace,
+                          rank);
     CommModeSelector selector(strategy.comm, strategy.dynamic_probe_interval,
                               strategy.dynamic_topk_arm);
     PlateauScheduler scheduler(config_.lr, num_nodes);
@@ -450,7 +466,6 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
 
     TripleList shard = shards[rank];
     kge::ModelGrads local = model->make_grads();
-    kge::ModelGrads merged = model->make_grads();
     // Blocked-kernel batch scratch, reused across steps so the steady-state
     // hot path stops allocating. The scalar reference path ignores these.
     const bool blocked = config_.block_kernels;
@@ -731,7 +746,7 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
         plan.transport = transport;
         plan.exchange_relations = !strategy.relation_partition;
         const ExchangeResult xresult =
-            exchange.exchange(local, merged, plan, epoch_rng);
+            exchange.exchange(local, plan, epoch_rng);
         rows_sent_sum += static_cast<double>(xresult.entity_rows_sent);
         rows_merged_sum += static_cast<double>(xresult.entity_rows_merged);
         epoch_bytes += xresult.bytes_on_wire;
@@ -743,8 +758,12 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
           const obs::TraceSpan span(tel.trace, "adam_update", rank);
           entity_opt.begin_step();
           relation_opt.begin_step();
+          // The merged gradient is read part by part in owner order,
+          // which is ascending id order.
           if (blocked) {
-            entity_opt.update_rows(merged.entity, model->entities());
+            for (const kge::ModelGrads& part : merged.parts) {
+              entity_opt.update_rows(part.entity, model->entities());
+            }
             // Strategy 4: relation rows update from the local
             // full-precision gradient (this rank is their only writer),
             // scaled to match the merged-gradient averaging; otherwise
@@ -754,12 +773,16 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
                   local.relation, 1.0f / static_cast<float>(num_nodes),
                   model->relations());
             } else {
-              relation_opt.update_rows(merged.relation, model->relations());
+              for (const kge::ModelGrads& part : merged.parts) {
+                relation_opt.update_rows(part.relation, model->relations());
+              }
             }
           } else {
-            for (const std::int32_t id : merged.entity.sorted_ids()) {
-              entity_opt.update_row(id, merged.entity.row(id),
-                                    model->entities());
+            for (const kge::ModelGrads& part : merged.parts) {
+              for (const std::int32_t id : part.entity.sorted_ids()) {
+                entity_opt.update_row(id, part.entity.row(id),
+                                      model->entities());
+              }
             }
             // Strategy 4: relation rows update from the local
             // full-precision gradient (this rank is their only writer);
@@ -774,9 +797,11 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
                 relation_opt.update_row(id, row, model->relations());
               }
             } else {
-              for (const std::int32_t id : merged.relation.sorted_ids()) {
-                relation_opt.update_row(id, merged.relation.row(id),
-                                        model->relations());
+              for (const kge::ModelGrads& part : merged.parts) {
+                for (const std::int32_t id : part.relation.sorted_ids()) {
+                  relation_opt.update_row(id, part.relation.row(id),
+                                          model->relations());
+                }
               }
             }
           }
@@ -946,16 +971,23 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
       if (disk_due || live_due) {
         const obs::TraceSpan ckpt_span(tel.trace, "checkpoint.write", rank);
 
-        // Residual maps are rank-private; gather every rank's blob.
+        // Residual maps are rank-private; gather every rank's blob (only
+        // rank 0, the snapshot writer, keeps a copy).
         const std::string local_blob = encode_residual_maps(
             {&entity_selector.residuals(), &relation_selector.residuals(),
              &exchange.entity_residuals(), &exchange.relation_residuals()});
-        std::vector<std::byte> blob_bytes;
-        std::vector<std::size_t> blob_counts;
-        comm.allgatherv_bytes(
+        std::vector<std::string> blobs;
+        comm.allgatherv(
             std::as_bytes(std::span<const char>(local_blob.data(),
                                                 local_blob.size())),
-            blob_bytes, blob_counts, /*charge_cost=*/false);
+            [&](comm::Slots slots) {
+              if (rank != 0) return;
+              for (const auto slot : slots) {
+                blobs.emplace_back(
+                    reinterpret_cast<const char*>(slot.data()), slot.size());
+              }
+            },
+            /*charge_cost=*/false);
 
         // Under relation partition rank 0's non-owned relation rows and
         // Adam moments are stale (each rank only updates the relations it
@@ -976,15 +1008,12 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
               mine.insert(mine.end(), row.begin(), row.end());
             }
           }
-          std::vector<std::byte> raw;
-          std::vector<std::size_t> counts;
-          comm.allgatherv_bytes(
-              std::as_bytes(std::span<const float>(mine)), raw, counts,
+          comm.allgatherv(
+              std::as_bytes(std::span<const float>(mine)),
+              [&](comm::Slots slots) {
+                if (rank == 0) append_floats(slots, rel_gathered);
+              },
               /*charge_cost=*/false);
-          rel_gathered.resize(raw.size() / sizeof(float));
-          if (!raw.empty()) {
-            std::memcpy(rel_gathered.data(), raw.data(), raw.size());
-          }
         }
 
         if (disk_due) ++checkpoints_total;
@@ -1041,14 +1070,7 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
             snap.rank_rng_seeds.push_back(
                 util::derive_seed(config_.seed, r, epoch + 1, 0xE0u));
           }
-          std::size_t blob_offset = 0;
-          for (int r = 0; r < num_nodes; ++r) {
-            snap.rank_residuals.emplace_back(
-                reinterpret_cast<const char*>(blob_bytes.data()) +
-                    blob_offset,
-                blob_counts[r]);
-            blob_offset += blob_counts[r];
-          }
+          snap.rank_residuals = std::move(blobs);
 
           const std::string sealed = kge::serialize_snapshot(snap);
           if (live_due) *live_snapshot = sealed;
@@ -1138,12 +1160,10 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
           // untouched; only the collective count differs from a
           // non-elastic run (relevant solely to index-addressed fault
           // specs — epoch addressing is unaffected).
-          std::vector<std::byte> sync;
-          std::vector<std::size_t> sync_counts;
           const char token = 0;
-          comm.allgatherv_bytes(
-              std::as_bytes(std::span<const char>(&token, 1)), sync,
-              sync_counts, /*charge_cost=*/false);
+          comm.allgatherv(
+              std::as_bytes(std::span<const char>(&token, 1)),
+              [](comm::Slots) {}, /*charge_cost=*/false);
         }
       }
 
@@ -1189,8 +1209,10 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
         mine.insert(mine.end(), row.begin(), row.end());
       }
       std::vector<float> gathered;
-      std::vector<std::size_t> counts;
-      comm.allgatherv(std::span<const float>(mine), gathered, counts);
+      comm.allgatherv(std::as_bytes(std::span<const float>(mine)),
+                      [&](comm::Slots slots) {
+                        append_floats(slots, gathered);
+                      });
       // Ranges are contiguous ascending, so the rank-ordered concatenation
       // is the full relation matrix.
       if (gathered.size() == model->relations().flat().size()) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <vector>
 
 namespace dynkge::comm {
@@ -13,72 +12,6 @@ class CommunicatorP : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Ranks, CommunicatorP,
                          ::testing::Values(1, 2, 3, 4, 5, 8));
-
-TEST_P(CommunicatorP, BarrierCompletes) {
-  Cluster cluster(GetParam());
-  std::atomic<int> arrivals{0};
-  cluster.run([&](Communicator& comm) {
-    for (int i = 0; i < 10; ++i) comm.barrier();
-    arrivals.fetch_add(1);
-  });
-  EXPECT_EQ(arrivals.load(), GetParam());
-}
-
-TEST_P(CommunicatorP, BroadcastFromEveryRoot) {
-  const int p = GetParam();
-  Cluster cluster(p);
-  cluster.run([&](Communicator& comm) {
-    for (int root = 0; root < p; ++root) {
-      std::vector<float> data(16, comm.rank() == root ? 7.5f : 0.0f);
-      comm.broadcast(std::span<float>(data), root);
-      for (const float v : data) EXPECT_FLOAT_EQ(v, 7.5f);
-    }
-  });
-}
-
-TEST_P(CommunicatorP, AllReduceSumMatchesSequentialReference) {
-  const int p = GetParam();
-  Cluster cluster(p);
-  const std::size_t n = 100;
-  cluster.run([&](Communicator& comm) {
-    std::vector<float> in(n), out(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      in[i] = static_cast<float>(comm.rank() + 1) * static_cast<float>(i);
-    }
-    comm.allreduce_sum(in, out);
-    const float rank_sum = p * (p + 1) / 2.0f;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_FLOAT_EQ(out[i], rank_sum * static_cast<float>(i));
-    }
-  });
-}
-
-TEST_P(CommunicatorP, AllReduceInPlace) {
-  const int p = GetParam();
-  Cluster cluster(p);
-  cluster.run([&](Communicator& comm) {
-    std::vector<float> data(8, 1.0f);
-    comm.allreduce_sum_inplace(data);
-    for (const float v : data) EXPECT_FLOAT_EQ(v, static_cast<float>(p));
-  });
-}
-
-TEST_P(CommunicatorP, AllReduceDeterministicAcrossRanks) {
-  // All ranks must compute bit-identical sums (rank-ordered accumulation).
-  const int p = GetParam();
-  Cluster cluster(p);
-  std::vector<std::vector<float>> results(p);
-  cluster.run([&](Communicator& comm) {
-    std::vector<float> in(64);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      in[i] = 0.1f * static_cast<float>(comm.rank()) + 1e-3f * i;
-    }
-    std::vector<float> out(in.size());
-    comm.allreduce_sum(in, out);
-    results[comm.rank()] = out;
-  });
-  for (int r = 1; r < p; ++r) EXPECT_EQ(results[r], results[0]);
-}
 
 TEST_P(CommunicatorP, ScalarReductions) {
   const int p = GetParam();
@@ -93,27 +26,54 @@ TEST_P(CommunicatorP, ScalarReductions) {
   });
 }
 
-TEST_P(CommunicatorP, AllGatherVConcatenatesInRankOrder) {
+/// Gather `local` and return a copy of every rank's payload, rank order.
+std::vector<std::vector<std::byte>> gather_copies(
+    Communicator& comm, std::span<const std::byte> local,
+    bool charge_cost = true) {
+  std::vector<std::vector<std::byte>> copies;
+  comm.allgatherv(
+      local,
+      [&](Slots slots) {
+        for (const auto slot : slots) {
+          copies.emplace_back(slot.begin(), slot.end());
+        }
+      },
+      charge_cost);
+  return copies;
+}
+
+TEST_P(CommunicatorP, AllGatherVHandsOutSlotsInRankOrder) {
   const int p = GetParam();
   Cluster cluster(p);
   cluster.run([&](Communicator& comm) {
-    // Rank r contributes r+1 ints with value r.
-    std::vector<int> local(comm.rank() + 1, comm.rank());
-    std::vector<int> out;
-    std::vector<std::size_t> counts;
-    comm.allgatherv(std::span<const int>(local), out, counts);
-    ASSERT_EQ(counts.size(), static_cast<std::size_t>(p));
-    std::size_t expected_total = 0;
+    // Rank r contributes r+1 bytes with value r.
+    const std::vector<std::byte> local(comm.rank() + 1,
+                                       static_cast<std::byte>(comm.rank()));
+    const auto copies = gather_copies(comm, local);
+    ASSERT_EQ(copies.size(), static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(counts[r], static_cast<std::size_t>(r + 1));
-      expected_total += r + 1;
-    }
-    ASSERT_EQ(out.size(), expected_total);
-    std::size_t idx = 0;
-    for (int r = 0; r < p; ++r) {
-      for (int k = 0; k <= r; ++k) EXPECT_EQ(out[idx++], r);
+      ASSERT_EQ(copies[r].size(), static_cast<std::size_t>(r + 1));
+      for (const std::byte b : copies[r]) {
+        EXPECT_EQ(b, static_cast<std::byte>(r));
+      }
     }
   });
+}
+
+TEST_P(CommunicatorP, AllGatherVIsZeroCopy) {
+  // Every slot is a view of its publisher's own buffer, not a copy.
+  const int p = GetParam();
+  Cluster cluster(p);
+  std::vector<const std::byte*> published(p);
+  std::vector<std::vector<const std::byte*>> seen(p);
+  cluster.run([&](Communicator& comm) {
+    const std::vector<std::byte> local(8, std::byte{0x5A});
+    published[comm.rank()] = local.data();
+    comm.allgatherv(local, [&](Slots slots) {
+      for (const auto slot : slots) seen[comm.rank()].push_back(slot.data());
+    });
+  });
+  for (int r = 0; r < p; ++r) EXPECT_EQ(seen[r], published);
 }
 
 TEST_P(CommunicatorP, AllGatherVEmptyContributions) {
@@ -121,59 +81,11 @@ TEST_P(CommunicatorP, AllGatherVEmptyContributions) {
   Cluster cluster(p);
   cluster.run([&](Communicator& comm) {
     // Odd ranks contribute nothing.
-    std::vector<double> local;
-    if (comm.rank() % 2 == 0) local.assign(2, comm.rank() * 1.0);
-    std::vector<double> out;
-    std::vector<std::size_t> counts;
-    comm.allgatherv(std::span<const double>(local), out, counts);
+    std::vector<std::byte> local;
+    if (comm.rank() % 2 == 0) local.assign(16, std::byte{1});
+    const auto copies = gather_copies(comm, local);
     for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(counts[r], r % 2 == 0 ? 2u : 0u);
-    }
-  });
-}
-
-TEST_P(CommunicatorP, ScattervDistributesSlices) {
-  const int p = GetParam();
-  Cluster cluster(p);
-  cluster.run([&](Communicator& comm) {
-    std::vector<std::size_t> counts(p);
-    std::size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      counts[r] = r + 2;
-      total += counts[r];
-    }
-    std::vector<int> all;
-    if (comm.rank() == 0) {
-      all.resize(total);
-      std::iota(all.begin(), all.end(), 0);
-    }
-    std::vector<int> mine;
-    comm.scatterv(std::span<const int>(all), counts, 0, mine);
-    ASSERT_EQ(mine.size(), counts[comm.rank()]);
-    std::size_t offset = 0;
-    for (int r = 0; r < comm.rank(); ++r) offset += counts[r];
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_EQ(mine[i], static_cast<int>(offset + i));
-    }
-  });
-}
-
-TEST_P(CommunicatorP, GathervCollectsAtRoot) {
-  const int p = GetParam();
-  Cluster cluster(p);
-  cluster.run([&](Communicator& comm) {
-    std::vector<int> local{comm.rank(), comm.rank() * 10};
-    std::vector<int> out;
-    std::vector<std::size_t> counts;
-    comm.gatherv(std::span<const int>(local), 0, out, counts);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(out.size(), static_cast<std::size_t>(2 * p));
-      for (int r = 0; r < p; ++r) {
-        EXPECT_EQ(out[2 * r], r);
-        EXPECT_EQ(out[2 * r + 1], r * 10);
-      }
-    } else {
-      EXPECT_TRUE(out.empty());
+      EXPECT_EQ(copies[r].size(), r % 2 == 0 ? 16u : 0u);
     }
   });
 }
@@ -184,8 +96,7 @@ TEST_P(CommunicatorP, SimClockAdvancesWithCollectives) {
   cluster.run([&](Communicator& comm) {
     EXPECT_DOUBLE_EQ(comm.sim_now(), 0.0);
     comm.sim_add_compute(1.0);
-    std::vector<float> data(1024, 1.0f);
-    comm.allreduce_sum_inplace(data);
+    comm.allreduce_scalar(1.0, ScalarOp::kSum);
     if (p > 1) {
       EXPECT_GT(comm.sim_now(), 1.0);
     } else {
@@ -201,7 +112,7 @@ TEST_P(CommunicatorP, SimClockAlignsToSlowestRank) {
   cluster.run([&](Communicator& comm) {
     // Rank p-1 is the straggler: everyone must align to its clock.
     comm.sim_add_compute(comm.rank() == p - 1 ? 5.0 : 0.5);
-    comm.barrier();
+    gather_copies(comm, {}, /*charge_cost=*/false);
     EXPECT_GE(comm.sim_now(), 5.0);
   });
 }
@@ -210,12 +121,16 @@ TEST_P(CommunicatorP, StatsAccumulate) {
   const int p = GetParam();
   Cluster cluster(p);
   cluster.run([&](Communicator& comm) {
-    std::vector<float> data(256, 1.0f);
-    comm.allreduce_sum_inplace(data);
-    comm.allreduce_sum_inplace(data);
+    comm.allreduce_scalar(1.0, ScalarOp::kSum);
+    comm.allreduce_scalar(1.0, ScalarOp::kMax);
+    const std::vector<std::byte> local(256, std::byte{1});
+    gather_copies(comm, local);
     const auto& ar = comm.stats().of(CollectiveKind::kAllReduce);
     EXPECT_EQ(ar.calls, 2u);
-    EXPECT_EQ(ar.bytes, 2 * 256 * sizeof(float));
+    EXPECT_EQ(ar.bytes, 2 * sizeof(double));
+    const auto& ag = comm.stats().of(CollectiveKind::kAllGatherV);
+    EXPECT_EQ(ag.calls, 1u);
+    EXPECT_EQ(ag.bytes, 256u);
   });
 }
 
@@ -236,11 +151,10 @@ TEST_P(CommunicatorP, UnchargedAllGatherMovesDataButNoCost) {
   const int p = GetParam();
   Cluster cluster(p);
   cluster.run([&](Communicator& comm) {
-    std::vector<std::byte> local(4, std::byte{0xAB});
-    std::vector<std::byte> out;
-    std::vector<std::size_t> counts;
-    comm.allgatherv_bytes(local, out, counts, /*charge_cost=*/false);
-    EXPECT_EQ(out.size(), 4u * p);
+    const std::vector<std::byte> local(4, std::byte{0xAB});
+    const auto copies = gather_copies(comm, local, /*charge_cost=*/false);
+    EXPECT_EQ(copies.size(), static_cast<std::size_t>(p));
+    for (const auto& copy : copies) EXPECT_EQ(copy, local);
     EXPECT_EQ(comm.stats().of(CollectiveKind::kAllGatherV).calls, 0u);
   });
 }
@@ -248,9 +162,8 @@ TEST_P(CommunicatorP, UnchargedAllGatherMovesDataButNoCost) {
 TEST_P(CommunicatorP, TraceDisabledByDefault) {
   Cluster cluster(GetParam());
   cluster.run([](Communicator& comm) {
-    comm.barrier();
-    std::vector<float> v(4, 1.0f);
-    comm.allreduce_sum_inplace(v);
+    comm.allreduce_scalar(1.0, ScalarOp::kSum);
+    gather_copies(comm, std::vector<std::byte>(4, std::byte{1}));
     EXPECT_TRUE(comm.trace().empty());
   });
 }
@@ -260,20 +173,17 @@ TEST_P(CommunicatorP, TraceRecordsOrderedTimeline) {
   cluster.run([&](Communicator& comm) {
     comm.enable_trace();
     comm.sim_add_compute(0.5);
-    std::vector<float> v(256, 1.0f);
-    comm.allreduce_sum_inplace(v);
-    comm.barrier();
-    std::vector<std::byte> raw(16, std::byte{1});
-    std::vector<std::byte> out;
-    std::vector<std::size_t> counts;
-    comm.allgatherv_bytes(raw, out, counts);
+    comm.allreduce_scalar(1.0, ScalarOp::kSum);
+    comm.charge(CollectiveKind::kBroadcast, 64, 64);
+    gather_copies(comm, std::vector<std::byte>(16, std::byte{1}));
 
     const auto& trace = comm.trace();
     ASSERT_EQ(trace.size(), 3u);
     EXPECT_EQ(trace[0].kind, CollectiveKind::kAllReduce);
-    EXPECT_EQ(trace[0].bytes, 256 * sizeof(float));
-    EXPECT_EQ(trace[1].kind, CollectiveKind::kBarrier);
+    EXPECT_EQ(trace[0].bytes, sizeof(double));
+    EXPECT_EQ(trace[1].kind, CollectiveKind::kBroadcast);
     EXPECT_EQ(trace[2].kind, CollectiveKind::kAllGatherV);
+    EXPECT_EQ(trace[2].bytes, 16u);
     // Timeline is ordered and starts after the compute segment.
     EXPECT_GE(trace[0].sim_start, 0.5);
     for (const auto& event : trace) {
@@ -295,8 +205,8 @@ TEST(Cluster, PropagatesRankException) {
       cluster.run([](Communicator& comm) {
         if (comm.rank() == 2) throw std::runtime_error("rank 2 failed");
         // Other ranks block on a collective and must be released by abort.
-        comm.barrier();
-        comm.barrier();
+        comm.allreduce_scalar(1.0, ScalarOp::kSum);
+        comm.allreduce_scalar(1.0, ScalarOp::kSum);
       }),
       std::runtime_error);
 }
@@ -305,9 +215,7 @@ TEST(Cluster, ReusableForMultipleRuns) {
   Cluster cluster(3);
   for (int iteration = 0; iteration < 3; ++iteration) {
     cluster.run([&](Communicator& comm) {
-      std::vector<float> v(4, 1.0f);
-      comm.allreduce_sum_inplace(v);
-      EXPECT_FLOAT_EQ(v[0], 3.0f);
+      EXPECT_DOUBLE_EQ(comm.allreduce_scalar(1.0, ScalarOp::kSum), 3.0);
     });
   }
 }
@@ -316,9 +224,11 @@ TEST(Cluster, ManySmallCollectivesStress) {
   Cluster cluster(4);
   cluster.run([](Communicator& comm) {
     for (int i = 0; i < 500; ++i) {
-      std::vector<float> v(8, static_cast<float>(comm.rank()));
-      comm.allreduce_sum_inplace(v);
-      EXPECT_FLOAT_EQ(v[0], 6.0f);  // 0+1+2+3
+      EXPECT_DOUBLE_EQ(comm.allreduce_scalar(comm.rank(), ScalarOp::kSum),
+                       6.0);  // 0+1+2+3
+      const std::vector<std::byte> local(8, static_cast<std::byte>(i));
+      const auto copies = gather_copies(comm, local);
+      for (const auto& copy : copies) EXPECT_EQ(copy, local);
     }
   });
 }

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -14,15 +17,21 @@
 namespace dynkge::comm {
 namespace {
 
-/// A rank program that runs `steps` allreduces with a barrier sprinkled
-/// in, returning the final reduced value (identical on every rank of a
-/// clean run).
+/// Steps of collective_loop(comm, steps) that add an empty gather.
+bool loop_step_gathers(int step) { return step % 7 == 3; }
+
+/// A rank program that runs `steps` scalar allreduces with an empty,
+/// uncharged gather (a pure synchronization point) sprinkled in,
+/// returning the final reduced value (identical on every rank of a clean
+/// run).
 double collective_loop(Communicator& comm, int steps) {
   double value = static_cast<double>(comm.rank() + 1);
   for (int step = 0; step < steps; ++step) {
     value = comm.allreduce_scalar(value, ScalarOp::kSum) /
             static_cast<double>(comm.size());
-    if (step % 7 == 3) comm.barrier();
+    if (loop_step_gathers(step)) {
+      comm.allgatherv({}, [](Slots) {}, /*charge_cost=*/false);
+    }
   }
   return value;
 }
@@ -169,13 +178,31 @@ TEST(FaultInjector, RandomScheduleIsDeterministicInSeed) {
 
 // ---- wire integrity & deadline watchdog ------------------------------
 
+constexpr std::size_t kPayloadFloats = 8;
+
 /// A rank program exercising the payload (byte-checksummed) path: float
-/// allreduces whose result feeds the next step.
+/// vectors gathered and summed in rank order, the sum feeding the next
+/// step.
 std::vector<float> payload_loop(Communicator& comm, int steps) {
-  std::vector<float> data(8, static_cast<float>(comm.rank() + 1));
+  std::vector<float> data(kPayloadFloats,
+                          static_cast<float>(comm.rank() + 1));
+  std::vector<float> sum(kPayloadFloats);
   for (int step = 0; step < steps; ++step) {
-    comm.allreduce_sum_inplace(data);
-    for (float& v : data) v /= static_cast<float>(comm.size() + 1);
+    comm.allgatherv(std::as_bytes(std::span<const float>(data)),
+                    [&](Slots slots) {
+                      std::fill(sum.begin(), sum.end(), 0.0f);
+                      for (const auto slot : slots) {
+                        for (std::size_t i = 0; i < sum.size(); ++i) {
+                          float v;
+                          std::memcpy(&v, slot.data() + i * sizeof(float),
+                                      sizeof(float));
+                          sum[i] += v;
+                        }
+                      }
+                    });
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = sum[i] / static_cast<float>(comm.size() + 1);
+    }
   }
   return data;
 }
@@ -257,6 +284,80 @@ TEST_P(FaultMatrixTest, CorruptEscalatesToRankFailedWhenBudgetExhausted) {
   EXPECT_EQ(counters.corrupted_payloads, 3u);  // one per attempt
   EXPECT_EQ(counters.corruptions_detected, counters.corrupted_payloads);
   EXPECT_EQ(counters.exhausted, 1u);
+}
+
+TEST_P(FaultMatrixTest, IntegrityHashesEachPayloadOnce) {
+  // Each rank hashes its own payload (+ the 8-byte scalar slot) once per
+  // collective — 1x the cluster's payload bytes, not Px — and never its
+  // siblings' slots.
+  const int num_ranks = GetParam();
+  constexpr int kSteps = 20;
+  const std::uint64_t per_publish = kPayloadFloats * sizeof(float) + 8;
+
+  FaultInjector checksums(std::vector<FaultEvent>{});
+  Cluster cluster(num_ranks);
+  cluster.set_fault_injector(&checksums);
+  cluster.run([&](Communicator& comm) { payload_loop(comm, kSteps); });
+  EXPECT_EQ(checksums.counters().bytes_hashed,
+            static_cast<std::uint64_t>(num_ranks) * kSteps * per_publish);
+
+  // Zero-byte collectives hash just the scalar slot.
+  FaultInjector scalars(std::vector<FaultEvent>{});
+  cluster.set_fault_injector(&scalars);
+  cluster.run([&](Communicator& comm) { collective_loop(comm, 40); });
+  std::uint64_t collectives = 0;
+  for (int step = 0; step < 40; ++step) {
+    collectives += loop_step_gathers(step) ? 2 : 1;
+  }
+  EXPECT_EQ(scalars.counters().bytes_hashed,
+            static_cast<std::uint64_t>(num_ranks) * collectives * 8);
+
+  // A corrupted copy is hashed once more, by its publisher only.
+  FaultInjector corrupt({FaultEvent{FaultKind::kCorrupt, /*rank=*/0,
+                                    /*collective_index=*/6,
+                                    /*failures=*/2}});
+  cluster.set_fault_injector(&corrupt);
+  cluster.run([&](Communicator& comm) { payload_loop(comm, kSteps); });
+  EXPECT_EQ(corrupt.counters().bytes_hashed,
+            (static_cast<std::uint64_t>(num_ranks) * kSteps + 2) *
+                per_publish);
+}
+
+TEST(FaultInjector, CorruptionOnEveryRankIsDetectedByAll) {
+  // One corrupt@R@I per rank of a 4-rank run — at distinct collectives
+  // and, on top, all at one collective. Every rank must reach the same
+  // verdict on every round (a rank that missed a corruption would skip
+  // the retransmit round and desynchronize the barriers), the books must
+  // balance, and the results must match a clean run.
+  constexpr int kRanks = 4;
+  std::vector<std::vector<float>> clean(kRanks);
+  Cluster cluster(kRanks);
+  cluster.run([&](Communicator& comm) {
+    clean[comm.rank()] = payload_loop(comm, 20);
+  });
+
+  std::vector<FaultEvent> schedule;
+  for (int r = 0; r < kRanks; ++r) {
+    schedule.push_back(FaultEvent{FaultKind::kCorrupt, r,
+                                  /*collective_index=*/2 + 3 *
+                                      static_cast<std::uint64_t>(r),
+                                  /*failures=*/1});
+    schedule.push_back(FaultEvent{FaultKind::kCorrupt, r,
+                                  /*collective_index=*/15, /*failures=*/1});
+  }
+  FaultInjector injector(schedule);
+  std::vector<std::vector<float>> faulted(kRanks);
+  cluster.set_fault_injector(&injector);
+  cluster.run([&](Communicator& comm) {
+    faulted[comm.rank()] = payload_loop(comm, 20);
+  });
+
+  EXPECT_EQ(clean, faulted);
+  const FaultCounters counters = injector.counters();
+  EXPECT_EQ(counters.corrupted_payloads, 2u * kRanks);
+  EXPECT_EQ(counters.corruptions_detected, counters.corrupted_payloads);
+  EXPECT_EQ(counters.retransmits, 2u * kRanks);
+  EXPECT_EQ(counters.exhausted, 0u);
 }
 
 TEST_P(FaultMatrixTest, HangTripsWatchdogIntoRankFailed) {
