@@ -249,12 +249,14 @@ TOPK_VS_RS_GATES = [gate
 ]
 
 # The sweep itself depends on the host's core count, so only the
-# pool-size-independent outputs gate.
+# pool-size-independent outputs gate -- plus the best host speedup, which
+# the owner-computes exchange made proportional to rank work: a 25% drop
+# (the simulator's own overhead growing back) fails.
 HOST_PARALLELISM_GATES = [
     f("deterministic_across_pool_sizes"),
     c("epochs", "near", EPOCH_TOL),
     g("final_mean_loss"),
-    g("best_host_speedup", "higher", 0.95),
+    g("best_host_speedup", "higher", 0.25),
 ]
 
 OBS_OVERHEAD_GATES = [
