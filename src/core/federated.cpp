@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -13,13 +14,14 @@
 #include "core/grad_exchange.hpp"
 #include "core/grad_select.hpp"
 #include "core/relation_partition.hpp"
-#include "kge/loss.hpp"
 #include "kge/model_factory.hpp"
 #include "kge/negative_sampler.hpp"
 #include "kge/serialize.hpp"
+#include "kge/sgd_step.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_clock.hpp"
 
 namespace dynkge::core {
 namespace {
@@ -30,21 +32,34 @@ using kge::Triple;
 using kge::TripleList;
 using util::Rng;
 
-void shuffle_triples(TripleList& triples, Rng& rng) {
-  for (std::size_t i = triples.size(); i > 1; --i) {
-    std::swap(triples[i - 1], triples[rng.next_below(i)]);
-  }
-}
+/// Rows a client's local epochs touched, in first-touch order: the rows
+/// of the round's delta.
+struct TouchedRows {
+  std::vector<std::uint8_t> seen;
+  std::vector<std::int32_t> ids;
 
-/// FNV-1a over a float span (the replica-consistency fingerprint).
-std::uint64_t fnv1a(std::span<const float> data, std::uint64_t hash) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
-  for (std::size_t i = 0; i < data.size_bytes(); ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
+  explicit TouchedRows(std::int32_t rows)
+      : seen(static_cast<std::size_t>(rows), 0) {}
+
+  void mark(std::int32_t id) {
+    if (seen[static_cast<std::size_t>(id)] != 0) return;
+    seen[static_cast<std::size_t>(id)] = 1;
+    ids.push_back(id);
   }
-  return hash;
-}
+
+  /// out[id] = local[id] - global[id] for every touched id, then reset.
+  void take_delta(const kge::EmbeddingMatrix& local,
+                  const kge::EmbeddingMatrix& global, kge::SparseGrad& out) {
+    for (const std::int32_t id : ids) {
+      const auto local_row = local.row(id);
+      std::transform(local_row.begin(), local_row.end(),
+                     global.row(id).begin(), out.accumulate(id).begin(),
+                     std::minus<>());
+      seen[static_cast<std::size_t>(id)] = 0;
+    }
+    ids.clear();
+  }
+};
 
 }  // namespace
 
@@ -63,16 +78,7 @@ FederatedTrainer::FederatedTrainer(const kge::Dataset& dataset,
         "trainer (--drs-topk-arm); federated runs pick one selection");
   }
   if (s.selection == SelectionMode::kTopK) {
-    if (s.topk_k < 1) {
-      throw std::invalid_argument(
-          "FederatedConfig: Top-K selection requires topk_k >= 1 (--topk-k)");
-    }
-    if (s.topk_k > dataset_.num_entities()) {
-      throw std::invalid_argument(
-          "FederatedConfig: topk_k (" + std::to_string(s.topk_k) +
-          ") exceeds the entity count (" +
-          std::to_string(dataset_.num_entities()) + ") (--topk-k)");
-    }
+    validate_topk_k(s.topk_k, dataset_.num_entities(), "FederatedConfig");
   }
   if (!config_.active_clients.empty()) {
     const auto& roster = config_.active_clients;
@@ -200,7 +206,7 @@ FederatedReport FederatedTrainer::run_attempt(
   // dead client's data simply drops out (it is private to that client).
   TripleList train_triples(dataset_.train().begin(), dataset_.train().end());
   Rng shuffle_rng(util::derive_seed(config_.seed, 0x5u));
-  shuffle_triples(train_triples, shuffle_rng);
+  kge::shuffle_triples(train_triples, shuffle_rng);
   const std::vector<TripleList> shards =
       partition_uniform(train_triples, policy.num_clients);
 
@@ -267,11 +273,10 @@ FederatedReport FederatedTrainer::run_attempt(
                                    strategy.selection_residual, topk_k);
 
     if (resume != nullptr) {
-      std::copy(resume->entity_params.begin(), resume->entity_params.end(),
-                model->entities().flat().begin());
-      std::copy(resume->relation_params.begin(),
-                resume->relation_params.end(),
-                model->relations().flat().begin());
+      std::ranges::copy(resume->entity_params,
+                        model->entities().flat().begin());
+      std::ranges::copy(resume->relation_params,
+                        model->relations().flat().begin());
       scheduler.restore({resume->scheduler_lr, resume->scheduler_best_metric,
                          resume->scheduler_stale_epochs,
                          resume->scheduler_stopped});
@@ -289,13 +294,11 @@ FederatedReport FederatedTrainer::run_attempt(
                                  std::move(residuals[3]));
     }
 
+    kge::SgdStep local_step(*local_model,
+                            static_cast<float>(config_.weight_decay));
     kge::ModelGrads delta = model->make_grads();
-    std::vector<std::int32_t> touched_entities;
-    std::vector<std::int32_t> touched_relations;
-    std::vector<std::uint8_t> entity_touched(
-        static_cast<std::size_t>(dataset_.num_entities()), 0);
-    std::vector<std::uint8_t> relation_touched(
-        static_cast<std::size_t>(dataset_.num_relations()), 0);
+    TouchedRows touched_entities(dataset_.num_entities());
+    TouchedRows touched_relations(dataset_.num_relations());
 
     for (int round = start_round; round < policy.rounds; ++round) {
       comm.set_fault_epoch(round);
@@ -312,60 +315,30 @@ FederatedReport FederatedTrainer::run_attempt(
       // round and every shuffle stream is keyed on (seed, client, round,
       // epoch), so no state leaks between rounds — a resumed round replays
       // byte-identically.
-      std::copy(model->entities().flat().begin(),
-                model->entities().flat().end(),
-                local_model->entities().flat().begin());
-      std::copy(model->relations().flat().begin(),
-                model->relations().flat().end(),
-                local_model->relations().flat().begin());
-      touched_entities.clear();
-      touched_relations.clear();
+      local_model->entities() = model->entities();
+      local_model->relations() = model->relations();
 
       const auto learning_rate = static_cast<float>(scheduler.lr());
-      const auto decay = static_cast<float>(config_.weight_decay);
       double loss_sum = 0.0;
-      kge::ModelGrads step_grads = model->make_grads();
       TripleList shard = shards[static_cast<std::size_t>(client)];
-      const util::Stopwatch local_clock;
+      // Thread-CPU, like the distributed trainer's compute: clients
+      // timesharing a core must not inflate each other's charge.
+      const double local_start = util::thread_cpu_seconds();
 
       const auto sgd_step = [&](const Triple& triple, int label) {
-        const auto lg = kge::logistic_loss(
-            local_model->score(triple.head, triple.relation, triple.tail),
-            label);
-        loss_sum += lg.loss;
-        step_grads.clear();
-        local_model->accumulate_gradients(triple.head, triple.relation,
-                                          triple.tail,
-                                          static_cast<float>(lg.dscore),
-                                          step_grads);
-        for (const std::int32_t id : step_grads.entity.sorted_ids()) {
-          auto row = local_model->entities().row(id);
-          const auto g = step_grads.entity.row(id);
-          for (std::size_t i = 0; i < row.size(); ++i) {
-            row[i] -= learning_rate * (g[i] + decay * row[i]);
-          }
-          if (!entity_touched[static_cast<std::size_t>(id)]) {
-            entity_touched[static_cast<std::size_t>(id)] = 1;
-            touched_entities.push_back(id);
-          }
+        const kge::SgdStep::Result step =
+            local_step(triple, label, learning_rate);
+        loss_sum += step.loss;
+        for (const std::int32_t id : step.entities()) {
+          touched_entities.mark(id);
         }
-        for (const std::int32_t id : step_grads.relation.sorted_ids()) {
-          auto row = local_model->relations().row(id);
-          const auto g = step_grads.relation.row(id);
-          for (std::size_t i = 0; i < row.size(); ++i) {
-            row[i] -= learning_rate * (g[i] + decay * row[i]);
-          }
-          if (!relation_touched[static_cast<std::size_t>(id)]) {
-            relation_touched[static_cast<std::size_t>(id)] = 1;
-            touched_relations.push_back(id);
-          }
-        }
+        touched_relations.mark(step.relation);
       };
 
       for (int epoch = 0; epoch < policy.local_epochs; ++epoch) {
         Rng epoch_rng(
             util::derive_seed(config_.seed, client, round, epoch, 0xFEDu));
-        shuffle_triples(shard, epoch_rng);
+        kge::shuffle_triples(shard, epoch_rng);
         for (const Triple& triple : shard) {
           sgd_step(triple, +1);
           for (int n = 0; n < config_.negatives; ++n) {
@@ -373,28 +346,14 @@ FederatedReport FederatedTrainer::run_attempt(
           }
         }
       }
-      comm.sim_add_compute(local_clock.seconds());
+      comm.sim_add_compute(util::thread_cpu_seconds() - local_start);
 
       // ---- delta = local - global for every touched row ----------------
       delta.clear();
-      for (const std::int32_t id : touched_entities) {
-        auto out = delta.entity.accumulate(id);
-        const auto local_row = local_model->entities().row(id);
-        const auto global_row = model->entities().row(id);
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          out[i] = local_row[i] - global_row[i];
-        }
-        entity_touched[static_cast<std::size_t>(id)] = 0;
-      }
-      for (const std::int32_t id : touched_relations) {
-        auto out = delta.relation.accumulate(id);
-        const auto local_row = local_model->relations().row(id);
-        const auto global_row = model->relations().row(id);
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          out[i] = local_row[i] - global_row[i];
-        }
-        relation_touched[static_cast<std::size_t>(id)] = 0;
-      }
+      touched_entities.take_delta(local_model->entities(), model->entities(),
+                                  delta.entity);
+      touched_relations.take_delta(local_model->relations(),
+                                   model->relations(), delta.relation);
 
       // ---- sparsify (with error feedback) and aggregate ----------------
       const std::size_t rows_before =
@@ -538,9 +497,11 @@ FederatedReport FederatedTrainer::run_attempt(
 
     // ---- verify the replica-consistency invariant ----------------------
     {
-      std::uint64_t hash = fnv1a(model->entities().flat(),
-                                 0xcbf29ce484222325ULL);
-      hash = fnv1a(model->relations().flat(), hash);
+      const auto entities = model->entities().flat();
+      const auto relations = model->relations().flat();
+      const std::uint64_t hash =
+          kge::fnv1a(relations.data(), relations.size_bytes(),
+                     kge::fnv1a(entities.data(), entities.size_bytes()));
       const auto as_double = static_cast<double>(hash >> 11);
       const double lo = comm.allreduce_scalar(as_double, ScalarOp::kMin);
       const double hi = comm.allreduce_scalar(as_double, ScalarOp::kMax);

@@ -5,16 +5,15 @@
 #include <stdexcept>
 #include <thread>
 
-#include "kge/loss.hpp"
 #include "kge/model_factory.hpp"
 #include "kge/negative_sampler.hpp"
+#include "kge/sgd_step.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_clock.hpp"
 
 namespace dynkge::core {
 
-using kge::Triple;
 using util::Rng;
 
 HogwildTrainer::HogwildTrainer(const kge::Dataset& dataset,
@@ -54,17 +53,10 @@ HogwildReport HogwildTrainer::train() {
   report.model_name = config_.model_name;
   report.num_threads = config_.num_threads;
 
-  const auto shuffle = [&] {
-    for (std::size_t i = triples.size(); i > 1; --i) {
-      std::swap(triples[i - 1], triples[shuffle_rng.next_below(i)]);
-    }
-  };
-
   for (int epoch = 0; epoch < config_.max_epochs; ++epoch) {
-    shuffle();
+    kge::shuffle_triples(triples, shuffle_rng);
     const double lr = scheduler.lr();
     const auto learning_rate = static_cast<float>(lr);
-    const auto decay = static_cast<float>(config_.weight_decay);
 
     std::atomic<double> loss_sum{0.0};
     std::atomic<double> cpu_sum{0.0};
@@ -82,49 +74,21 @@ HogwildReport HogwildTrainer::train() {
           Rng rng(util::derive_seed(config_.seed, t, epoch, 0x40Du));
           const std::size_t begin = std::min(t * chunk, triples.size());
           const std::size_t end = std::min(begin + chunk, triples.size());
-          kge::ModelGrads grads = model->make_grads();
-
-          const auto sgd_step = [&](const Triple& triple, int label) {
-            const auto lg = kge::logistic_loss(
-                model->score(triple.head, triple.relation, triple.tail),
-                label);
-            local_loss += lg.loss;
-            grads.clear();
-            model->accumulate_gradients(triple.head, triple.relation,
-                                        triple.tail,
-                                        static_cast<float>(lg.dscore), grads);
-            // Lock-free apply: racy against sibling threads, benign for
-            // sparse embedding gradients (Hogwild).
-            for (const auto* grad :
-                 {&grads.entity, &grads.relation}) {
-              auto& matrix = grad == &grads.entity ? model->entities()
-                                                   : model->relations();
-              for (const std::int32_t id : grad->sorted_ids()) {
-                auto row = matrix.row(id);
-                const auto g = grad->row(id);
-                for (std::size_t i = 0; i < row.size(); ++i) {
-                  row[i] -= learning_rate * (g[i] + decay * row[i]);
-                }
-              }
-            }
-          };
-
+          // Lock-free apply: racy against sibling threads, benign for
+          // sparse embedding gradients (Hogwild).
+          kge::SgdStep step(*model,
+                            static_cast<float>(config_.weight_decay));
           for (std::size_t i = begin; i < end; ++i) {
-            sgd_step(triples[i], +1);
+            local_loss += step(triples[i], +1, learning_rate).loss;
             for (int n = 0; n < config_.negatives; ++n) {
-              sgd_step(sampler.corrupt(triples[i], rng), -1);
+              local_loss +=
+                  step(sampler.corrupt(triples[i], rng), -1, learning_rate)
+                      .loss;
             }
           }
         }
-        // Relaxed accumulate (atomic<double> has no fetch_add pre-C++20
-        // on all libstdc++ versions; use CAS loop).
-        for (double expected = loss_sum.load();
-             !loss_sum.compare_exchange_weak(expected,
-                                             expected + local_loss);) {
-        }
-        for (double expected = cpu_sum.load();
-             !cpu_sum.compare_exchange_weak(expected, expected + cpu);) {
-        }
+        loss_sum.fetch_add(local_loss);
+        cpu_sum.fetch_add(cpu);
       });
     }
     for (auto& worker : workers) worker.join();

@@ -1,5 +1,7 @@
 #include "core/strategy_config.hpp"
 
+#include <stdexcept>
+
 namespace dynkge::core {
 
 const char* to_string(CommMode mode) {
@@ -173,6 +175,20 @@ StrategyConfig StrategyConfig::drs_topk(int k, int negatives) {
   config.topk_k = k;
   config.dynamic_topk_arm = true;
   return config;
+}
+
+void validate_topk_k(int k, std::int32_t num_entities,
+                     const std::string& owner) {
+  if (k < 1) {
+    throw std::invalid_argument(
+        owner + ": Top-K selection requires topk_k >= 1 (--topk-k)");
+  }
+  if (k > num_entities) {
+    throw std::invalid_argument(
+        owner + ": topk_k (" + std::to_string(k) +
+        ") exceeds the entity count (" + std::to_string(num_entities) +
+        ") (--topk-k)");
+  }
 }
 
 }  // namespace dynkge::core

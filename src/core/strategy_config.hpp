@@ -5,6 +5,7 @@
 // in the paper's tables and figure legends (Table 5 nomenclature).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace dynkge::core {
@@ -127,5 +128,10 @@ struct StrategyConfig {
   /// DRS with the Top-K third arm: {dense all-reduce, RS, Top-K}.
   static StrategyConfig drs_topk(int k, int negatives = 1);
 };
+
+/// Throws std::invalid_argument, prefixed with `owner` and naming
+/// --topk-k, unless 1 <= k <= num_entities.
+void validate_topk_k(int k, std::int32_t num_entities,
+                     const std::string& owner);
 
 }  // namespace dynkge::core

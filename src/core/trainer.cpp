@@ -48,35 +48,12 @@ using util::ThreadCpuTimer;
 /// (paper figure 2) and the all-gather volume shrink late in training.
 constexpr double kCoeffUnderflow = 1e-7;
 
-/// Deterministic Fisher-Yates shuffle.
-void shuffle_triples(TripleList& triples, Rng& rng) {
-  for (std::size_t i = triples.size(); i > 1; --i) {
-    std::swap(triples[i - 1], triples[rng.next_below(i)]);
-  }
-}
-
 // Residual blobs (the RESD section payload) are encoded by
 // kge::encode_residual_maps: this trainer packs 4 maps per rank (entity
 // selector, relation selector, exchange entity, exchange relation).
 using kge::decode_residual_maps;
 using kge::encode_residual_maps;
 using kge::ResidualMap;
-
-/// Copy every parameter of `source` into a freshly constructed model of
-/// the same architecture (the checkpoint writer must not mutate the live
-/// replica when overlaying gathered relation rows).
-std::unique_ptr<kge::KgeModel> clone_model(const kge::KgeModel& source,
-                                           const std::string& model_name,
-                                           std::int32_t embedding_rank) {
-  auto copy = kge::make_model(model_name, source.entities().rows(),
-                              source.relations().rows(), embedding_rank);
-  std::copy(source.entities().flat().begin(), source.entities().flat().end(),
-            copy->entities().flat().begin());
-  std::copy(source.relations().flat().begin(),
-            source.relations().flat().end(),
-            copy->relations().flat().begin());
-  return copy;
-}
 
 /// Append gathered float payloads, in rank order, to `out`.
 void append_floats(comm::Slots slots, std::vector<float>& out) {
@@ -159,16 +136,7 @@ DistributedTrainer::DistributedTrainer(const kge::Dataset& dataset,
         "(--checkpoint-on-error), got '" + on_error + "'");
   }
   if (s.selection == SelectionMode::kTopK || s.dynamic_topk_arm) {
-    if (s.topk_k < 1) {
-      throw std::invalid_argument(
-          "TrainConfig: Top-K selection requires topk_k >= 1 (--topk-k)");
-    }
-    if (s.topk_k > dataset_.num_entities()) {
-      throw std::invalid_argument(
-          "TrainConfig: topk_k " + std::to_string(s.topk_k) +
-          " exceeds the entity count " +
-          std::to_string(dataset_.num_entities()) + " (--topk-k)");
-    }
+    validate_topk_k(s.topk_k, dataset_.num_entities(), "TrainConfig");
   }
   if (s.dynamic_topk_arm && s.comm != CommMode::kDynamic) {
     throw std::invalid_argument(
@@ -353,7 +321,7 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
   // ---- Partition the training triples (host side, deterministic) ------
   TripleList train_triples(dataset_.train().begin(), dataset_.train().end());
   Rng shuffle_rng(util::derive_seed(config_.seed, 0x5u));
-  shuffle_triples(train_triples, shuffle_rng);
+  kge::shuffle_triples(train_triples, shuffle_rng);
 
   std::vector<TripleList> shards;
   RelationPartition relation_partition;
@@ -439,12 +407,8 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
         throw std::invalid_argument(
             "TrainConfig::warm_start: parameter shapes do not match");
       }
-      std::copy(source.entities().flat().begin(),
-                source.entities().flat().end(),
-                model->entities().flat().begin());
-      std::copy(source.relations().flat().begin(),
-                source.relations().flat().end(),
-                model->relations().flat().begin());
+      model->entities() = source.entities();
+      model->relations() = source.relations();
     }
 
     kge::AdamConfig adam_config;
@@ -485,12 +449,8 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
     // ---- resume: restore every piece of state a fresh run would have ---
     if (resume != nullptr) {
       const kge::TrainingSnapshot& snap = *resume;
-      std::copy(snap.model->entities().flat().begin(),
-                snap.model->entities().flat().end(),
-                model->entities().flat().begin());
-      std::copy(snap.model->relations().flat().begin(),
-                snap.model->relations().flat().end(),
-                model->relations().flat().begin());
+      model->entities() = snap.model->entities();
+      model->relations() = snap.model->relations();
       entity_opt.restore(snap.entity_opt.step, snap.entity_opt.m,
                          snap.entity_opt.v);
       relation_opt.restore(snap.relation_opt.step, snap.relation_opt.m,
@@ -516,7 +476,7 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
       // to put the shard in the exact order the next epoch expects.
       for (int epoch = 0; epoch < start_epoch; ++epoch) {
         Rng replay_rng(util::derive_seed(config_.seed, rank, epoch, 0xE0u));
-        shuffle_triples(shard, replay_rng);
+        kge::shuffle_triples(shard, replay_rng);
       }
     }
     // Snapshots written by earlier runs count toward the persistent total.
@@ -569,7 +529,7 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
       const obs::TraceSpan epoch_span(tel.trace, "epoch", rank);
 
       Rng epoch_rng(util::derive_seed(config_.seed, rank, epoch, 0xE0u));
-      shuffle_triples(shard, epoch_rng);
+      kge::shuffle_triples(shard, epoch_rng);
 
       double loss_sum = 0.0;
       std::size_t loss_count = 0;
@@ -1019,8 +979,8 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
         if (disk_due) ++checkpoints_total;
         if (rank == 0) {
           kge::TrainingSnapshot snap;
-          snap.model = clone_model(*model, config_.model_name,
-                                   config_.embedding_rank);
+          // A copy: relation-row overlays must not touch the live replica.
+          snap.model = kge::clone_model(*model);
           snap.entity_opt = {entity_opt.step(), entity_opt.moment1(),
                              entity_opt.moment2()};
           snap.relation_opt = {relation_opt.step(), relation_opt.moment1(),
@@ -1179,12 +1139,7 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
       // FNV-1a over the entity matrix bytes; identical replicas produce
       // identical hashes, so cluster-min == cluster-max.
       const auto flat = model->entities().flat();
-      const auto* bytes = reinterpret_cast<const unsigned char*>(flat.data());
-      std::uint64_t hash = 0xcbf29ce484222325ULL;
-      for (std::size_t i = 0; i < flat.size_bytes(); ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-      }
+      const std::uint64_t hash = kge::fnv1a(flat.data(), flat.size_bytes());
       const auto as_double = static_cast<double>(hash >> 11);
       const double lo = comm.allreduce_scalar(as_double, ScalarOp::kMin);
       const double hi = comm.allreduce_scalar(as_double, ScalarOp::kMax);

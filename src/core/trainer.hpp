@@ -217,7 +217,6 @@ struct TrainReport {
                                    ///< (non-zero after --resume)
   int checkpoints_written = 0;     ///< snapshots written by this run
   double total_sim_seconds = 0.0;  ///< the paper's TT (simulated)
-  double total_sim_hours() const { return total_sim_seconds / 3600.0; }
   double mean_epoch_seconds() const {
     return epochs == 0 ? 0.0 : total_sim_seconds / epochs;
   }

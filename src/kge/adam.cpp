@@ -38,13 +38,17 @@ void RowAdam::restore(std::int64_t step, EmbeddingMatrix m,
 
 void RowAdam::update_row(std::int32_t row, std::span<const float> grad,
                          EmbeddingMatrix& params) {
+  update_row(row, grad, params.row(row));
+}
+
+void RowAdam::update_row(std::int32_t moment_row, std::span<const float> grad,
+                         std::span<float> p) {
   if (step_ == 0) {
     throw std::logic_error("RowAdam::update_row before begin_step");
   }
-  auto p = params.row(row);
-  auto m = m_.row(row);
-  auto v = v_.row(row);
-  if (grad.size() != p.size()) {
+  auto m = m_.row(moment_row);
+  auto v = v_.row(moment_row);
+  if (grad.size() != p.size() || p.size() != m.size()) {
     throw std::invalid_argument("RowAdam: gradient width mismatch");
   }
   const auto b1 = static_cast<float>(config_.beta1);

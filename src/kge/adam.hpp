@@ -38,6 +38,12 @@ class RowAdam {
   void update_row(std::int32_t row, std::span<const float> grad,
                   EmbeddingMatrix& params);
 
+  /// Row-span form: update the parameter row `p` against moment row
+  /// `moment_row`, for callers whose moments are indexed apart from the
+  /// parameter matrix (e.g. sized to a subset of its rows).
+  void update_row(std::int32_t moment_row, std::span<const float> grad,
+                  std::span<float> p);
+
   /// Blocked form (adam_block.cpp): apply one Adam update per row of
   /// `grads`, in ascending id order — byte-identical to calling update_row
   /// for each sorted id, but without the per-row hash lookups and with a

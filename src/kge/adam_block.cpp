@@ -65,24 +65,13 @@ void RowAdam::update_rows_scaled(SparseGrad& grads, float scale,
   if (step_ == 0) {
     throw std::logic_error("RowAdam::update_rows_scaled before begin_step");
   }
-  if (grads.width() != params.width()) {
-    throw std::invalid_argument("RowAdam: gradient width mismatch");
-  }
-  const auto n = static_cast<std::size_t>(params.width());
-  const auto b1 = static_cast<float>(config_.beta1);
-  const auto b2 = static_cast<float>(config_.beta2);
-  const auto wd = static_cast<float>(config_.weight_decay);
-  const double lr = config_.learning_rate;
+  // Scale in place first — the same two-statement shape as the scalar
+  // relation-partition path (scale loop, then update), so the float
+  // rounding sequence is identical.
   for (const SparseGrad::SlotRef& slot : grads.sorted_slots()) {
-    const auto row = grads.row_at(slot.offset);
-    // Scale in place first — the same two-statement shape as the scalar
-    // relation-partition path (scale loop, then update), so the float
-    // rounding sequence is identical.
-    for (float& x : row) x *= scale;
-    adam_row(row.data(), params.row(slot.id).data(), m_.row(slot.id).data(),
-             v_.row(slot.id).data(), n, b1, b2, wd, lr, bias1_, bias2_,
-             config_.epsilon);
+    for (float& x : grads.row_at(slot.offset)) x *= scale;
   }
+  update_rows(grads, params);
 }
 
 }  // namespace dynkge::kge

@@ -218,116 +218,99 @@ void rotate_grad(const float* __restrict eh, const float* __restrict et,
   }
 }
 
+/// The 4-wide scoring loop shared by ComplEx, DistMult and TransE:
+/// score4(eh, er, et, out) scores four consecutive triples from their
+/// gathered rows; a remainder of < 4 triples goes through score().
+template <typename Score4>
+void score_block4(const KgeModel& model, std::span<const Triple> triples,
+                  std::span<double> out, Score4 score4) {
+  const EmbeddingMatrix& entities = model.entities();
+  const EmbeddingMatrix& relations = model.relations();
+  std::size_t j = 0;
+  for (; j + 4 <= triples.size(); j += 4) {
+    const float* eh[4];
+    const float* er[4];
+    const float* et[4];
+    for (int q = 0; q < 4; ++q) {
+      eh[q] = entities.row(triples[j + q].head).data();
+      er[q] = relations.row(triples[j + q].relation).data();
+      et[q] = entities.row(triples[j + q].tail).data();
+    }
+    score4(eh, er, et, out.data() + j);
+  }
+  for (; j < triples.size(); ++j) {
+    out[j] = model.score(triples[j].head, triples[j].relation, triples[j].tail);
+  }
+}
+
+/// The gradient-block loop of every model: grad(w) runs the __restrict
+/// kernel for h != t; aliased rows (h == t) take the scalar path.
+template <typename Grad>
+void grad_block(const KgeModel& model, std::span<const GradWork> work,
+                ModelGrads& grads, Grad grad) {
+  for (const GradWork& w : work) {
+    if (w.h == w.t) {
+      model.accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
+    } else {
+      grad(w);
+    }
+  }
+}
+
 }  // namespace
 
 // ---- ComplEx ---------------------------------------------------------
 
 void ComplExModel::score_triples_block(std::span<const Triple> triples,
                                        std::span<double> out) const {
-  const std::int32_t k = rank_;
-  std::size_t j = 0;
-  for (; j + 4 <= triples.size(); j += 4) {
-    const float* eh[4];
-    const float* er[4];
-    const float* et[4];
-    for (int q = 0; q < 4; ++q) {
-      eh[q] = entities_.row(triples[j + q].head).data();
-      er[q] = relations_.row(triples[j + q].relation).data();
-      et[q] = entities_.row(triples[j + q].tail).data();
-    }
-    complex_score4(eh, er, et, k, out.data() + j);
-  }
-  for (; j < triples.size(); ++j) {
-    out[j] = score(triples[j].head, triples[j].relation, triples[j].tail);
-  }
+  score_block4(*this, triples, out, [&](auto eh, auto er, auto et, double* o) {
+    complex_score4(eh, er, et, rank_, o);
+  });
 }
 
 void ComplExModel::accumulate_gradients_block(std::span<const GradWork> work,
                                               ModelGrads& grads) const {
-  const std::int32_t k = rank_;
-  for (const GradWork& w : work) {
-    if (w.h == w.t) {
-      accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
-      continue;
-    }
+  grad_block(*this, work, grads, [&](const GradWork& w) {
     complex_grad(entities_.row(w.h).data(), relations_.row(w.r).data(),
-                 entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff, k);
-  }
+                 entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff, rank_);
+  });
 }
 
 // ---- DistMult --------------------------------------------------------
 
 void DistMultModel::score_triples_block(std::span<const Triple> triples,
                                         std::span<double> out) const {
-  const std::int32_t k = rank_;
-  std::size_t j = 0;
-  for (; j + 4 <= triples.size(); j += 4) {
-    const float* eh[4];
-    const float* er[4];
-    const float* et[4];
-    for (int q = 0; q < 4; ++q) {
-      eh[q] = entities_.row(triples[j + q].head).data();
-      er[q] = relations_.row(triples[j + q].relation).data();
-      et[q] = entities_.row(triples[j + q].tail).data();
-    }
-    distmult_score4(eh, er, et, k, out.data() + j);
-  }
-  for (; j < triples.size(); ++j) {
-    out[j] = score(triples[j].head, triples[j].relation, triples[j].tail);
-  }
+  score_block4(*this, triples, out, [&](auto eh, auto er, auto et, double* o) {
+    distmult_score4(eh, er, et, rank_, o);
+  });
 }
 
 void DistMultModel::accumulate_gradients_block(std::span<const GradWork> work,
                                                ModelGrads& grads) const {
-  const std::int32_t k = rank_;
-  for (const GradWork& w : work) {
-    if (w.h == w.t) {
-      accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
-      continue;
-    }
+  grad_block(*this, work, grads, [&](const GradWork& w) {
     distmult_grad(entities_.row(w.h).data(), relations_.row(w.r).data(),
-                  entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff, k);
-  }
+                  entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff,
+                  rank_);
+  });
 }
 
 // ---- TransE ----------------------------------------------------------
 
 void TransEModel::score_triples_block(std::span<const Triple> triples,
                                       std::span<double> out) const {
-  const std::int32_t k = rank_;
-  std::size_t j = 0;
-  for (; j + 4 <= triples.size(); j += 4) {
-    const float* eh[4];
-    const float* er[4];
-    const float* et[4];
-    for (int q = 0; q < 4; ++q) {
-      eh[q] = entities_.row(triples[j + q].head).data();
-      er[q] = relations_.row(triples[j + q].relation).data();
-      et[q] = entities_.row(triples[j + q].tail).data();
-    }
+  score_block4(*this, triples, out, [&](auto eh, auto er, auto et, double* o) {
     double l1[4];
-    transe_l1_4(eh, er, et, k, l1);
-    out[j] = gamma_ - l1[0];
-    out[j + 1] = gamma_ - l1[1];
-    out[j + 2] = gamma_ - l1[2];
-    out[j + 3] = gamma_ - l1[3];
-  }
-  for (; j < triples.size(); ++j) {
-    out[j] = score(triples[j].head, triples[j].relation, triples[j].tail);
-  }
+    transe_l1_4(eh, er, et, rank_, l1);
+    for (int q = 0; q < 4; ++q) o[q] = gamma_ - l1[q];
+  });
 }
 
 void TransEModel::accumulate_gradients_block(std::span<const GradWork> work,
                                              ModelGrads& grads) const {
-  const std::int32_t k = rank_;
-  for (const GradWork& w : work) {
-    if (w.h == w.t) {
-      accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
-      continue;
-    }
+  grad_block(*this, work, grads, [&](const GradWork& w) {
     transe_grad(entities_.row(w.h).data(), relations_.row(w.r).data(),
-                entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff, k);
-  }
+                entities_.row(w.t).data(), w.gh, w.gr, w.gt, w.coeff, rank_);
+  });
 }
 
 // ---- RotatE ----------------------------------------------------------
@@ -367,20 +350,15 @@ void RotatEModel::score_triples_block(std::span<const Triple> triples,
 
 void RotatEModel::accumulate_gradients_block(std::span<const GradWork> work,
                                              ModelGrads& grads) const {
-  const std::int32_t k = rank_;
   const std::size_t max_relations =
       std::min(work.size(), static_cast<std::size_t>(num_relations()));
-  RotatePhaseCache cache(k, max_relations);
-  for (const GradWork& w : work) {
-    if (w.h == w.t) {
-      // The scalar fallback recomputes cos/sin; same inputs, same values.
-      accumulate_gradients(w.h, w.r, w.t, w.coeff, grads);
-      continue;
-    }
-    const double* cs = cache.get(w.r, relations_.row(w.r));
-    rotate_grad(entities_.row(w.h).data(), entities_.row(w.t).data(), cs,
-                w.gh, w.gr, w.gt, w.coeff, k);
-  }
+  RotatePhaseCache cache(rank_, max_relations);
+  // The h == t fallback recomputes cos/sin; same inputs, same values.
+  grad_block(*this, work, grads, [&](const GradWork& w) {
+    rotate_grad(entities_.row(w.h).data(), entities_.row(w.t).data(),
+                cache.get(w.r, relations_.row(w.r)), w.gh, w.gr, w.gt,
+                w.coeff, rank_);
+  });
 }
 
 }  // namespace dynkge::kge

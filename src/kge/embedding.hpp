@@ -85,12 +85,7 @@ class SparseGrad {
 
   /// Row for `id`, created zero-filled on first touch.
   std::span<float> accumulate(std::int32_t id) {
-    const auto [it, inserted] = slots_.try_emplace(id, arena_.size());
-    if (inserted) {
-      arena_.resize(arena_.size() + width_, 0.0f);
-      ids_dirty_ = true;
-    }
-    return {arena_.data() + it->second, static_cast<std::size_t>(width_)};
+    return row_at(accumulate_offset(id));
   }
 
   /// Arena offset of the row for `id`, created zero-filled on first touch.
@@ -109,19 +104,9 @@ class SparseGrad {
 
   /// Existing row for `id`; throws if absent.
   std::span<const float> row(std::int32_t id) const {
-    const auto it = slots_.find(id);
-    if (it == slots_.end()) {
-      throw std::out_of_range("SparseGrad: row absent");
-    }
-    return {arena_.data() + it->second, static_cast<std::size_t>(width_)};
+    return row_at(offset_of(id));
   }
-  std::span<float> row(std::int32_t id) {
-    const auto it = slots_.find(id);
-    if (it == slots_.end()) {
-      throw std::out_of_range("SparseGrad: row absent");
-    }
-    return {arena_.data() + it->second, static_cast<std::size_t>(width_)};
-  }
+  std::span<float> row(std::int32_t id) { return row_at(offset_of(id)); }
 
   /// (id, arena offset) of a live row; see sorted_slots().
   struct SlotRef {
@@ -174,6 +159,14 @@ class SparseGrad {
   }
 
  private:
+  std::size_t offset_of(std::int32_t id) const {
+    const auto it = slots_.find(id);
+    if (it == slots_.end()) {
+      throw std::out_of_range("SparseGrad: row absent");
+    }
+    return it->second;
+  }
+
   void refresh_caches() const {
     if (!ids_dirty_) return;
     sorted_slots_.clear();

@@ -51,10 +51,8 @@ std::unique_ptr<KgeModel> clone_model(const KgeModel& model) {
                                 model.name() + "'");
   }
   clone->set_init_scale(model.init_scale());
-  std::copy(model.entities().flat().begin(), model.entities().flat().end(),
-            clone->entities().flat().begin());
-  std::copy(model.relations().flat().begin(), model.relations().flat().end(),
-            clone->relations().flat().begin());
+  clone->entities() = model.entities();
+  clone->relations() = model.relations();
   return clone;
 }
 

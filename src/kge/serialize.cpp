@@ -18,6 +18,17 @@
 #include "kge/transe_model.hpp"
 
 namespace dynkge::kge {
+
+std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint64_t hash = seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 namespace {
 
 constexpr char kModelMagic[4] = {'D', 'K', 'G', 'E'};
@@ -29,17 +40,6 @@ constexpr std::uint32_t kSnapshotVersion = 3;
 /// name the section a reader was in.
 constexpr const char* kSectionTags[] = {"MODL", "OPTE", "OPTR", "TRNR",
                                         "SCHD", "SELC", "RNGS", "RESD"};
-
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 /// Canonical lowercase name understood by the loader.
 std::string factory_name(const KgeModel& model) {

@@ -54,6 +54,11 @@
 
 namespace dynkge::kge {
 
+/// FNV-1a over `size` bytes, continuing from `seed`: the checksum of the
+/// files below and the trainers' replica-consistency fingerprint.
+std::uint64_t fnv1a(const void* data, std::size_t size,
+                    std::uint64_t seed = 0xcbf29ce484222325ULL);
+
 /// Write `model` to `path` (atomically). Throws std::runtime_error on I/O
 /// failure.
 void save_model(const KgeModel& model, const std::string& path);

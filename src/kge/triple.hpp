@@ -4,7 +4,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace dynkge::kge {
 
@@ -20,6 +23,13 @@ struct Triple {
 };
 
 using TripleList = std::vector<Triple>;
+
+/// Deterministic Fisher-Yates shuffle (the trainers' epoch order).
+inline void shuffle_triples(TripleList& triples, util::Rng& rng) {
+  for (std::size_t i = triples.size(); i > 1; --i) {
+    std::swap(triples[i - 1], triples[rng.next_below(i)]);
+  }
+}
 
 /// Pack a triple into one 64-bit key (21 bits per field — supports up to
 /// two million entities/relations, comfortably beyond FB250K's 240K/9.3K).

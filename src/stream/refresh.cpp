@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "core/hard_negatives.hpp"
@@ -52,20 +51,20 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
   if (deltas.empty() || params.steps <= 0) return result;
 
   // The frozen-base contract: only rows named by the batch may change.
-  std::unordered_set<kge::EntityId> touched;
+  auto& touched = result.touched;
   touched.reserve(deltas.size() * 2);
   for (const kge::Triple& t : deltas) {
-    touched.insert(t.head);
-    touched.insert(t.tail);
+    touched.push_back(t.head);
+    touched.push_back(t.tail);
   }
-  result.touched.assign(touched.begin(), touched.end());
-  std::sort(result.touched.begin(), result.touched.end());
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
   // Base rows, kept to report the drift this refresh introduces.
   std::vector<float> base_rows;
   const auto width = static_cast<std::size_t>(model.entities().width());
-  base_rows.reserve(result.touched.size() * width);
-  for (const kge::EntityId id : result.touched) {
+  base_rows.reserve(touched.size() * width);
+  for (const kge::EntityId id : touched) {
     const auto row = model.entities().row(id);
     base_rows.insert(base_rows.end(), row.begin(), row.end());
   }
@@ -78,8 +77,10 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
   kge::AdamConfig adam;
   adam.learning_rate = params.learning_rate;
   adam.weight_decay = params.weight_decay;
-  kge::RowAdam entity_opt(model.num_entities(), model.entities().width(),
-                          adam);
+  // Moments for the touched rows only, addressed by a row's index in the
+  // sorted touched list.
+  kge::RowAdam entity_opt(static_cast<std::int32_t>(touched.size()),
+                          model.entities().width(), adam);
 
   const bool hard_mining = dataset != nullptr &&
                            params.negatives_used < params.negatives_sampled &&
@@ -121,8 +122,10 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
     // dropped; relation gradients are dropped entirely.
     entity_opt.begin_step();
     for (const std::int32_t id : grads.entity.sorted_ids()) {
-      if (touched.count(id) == 0) continue;
-      entity_opt.update_row(id, grads.entity.row(id), model.entities());
+      const auto slot = std::lower_bound(touched.begin(), touched.end(), id);
+      if (slot == touched.end() || *slot != id) continue;
+      entity_opt.update_row(static_cast<std::int32_t>(slot - touched.begin()),
+                            grads.entity.row(id), model.entities().row(id));
       ++result.row_updates;
     }
     if (loss_count > 0) {
@@ -131,8 +134,8 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
   }
 
   double drift_sq = 0.0;
-  for (std::size_t i = 0; i < result.touched.size(); ++i) {
-    const auto now = model.entities().row(result.touched[i]);
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    const auto now = model.entities().row(touched[i]);
     const float* base = base_rows.data() + i * width;
     for (std::size_t j = 0; j < width; ++j) {
       const double d = static_cast<double>(now[j]) - base[j];
