@@ -1,27 +1,32 @@
-// Training-kernel regression bench: scalar reference path vs the blocked
-// kernels (batched scoring, GradWork gradient blocks, blocked Adam) on the
-// FB250K stand-in at 8 simulated ranks.
+// Training-kernel regression bench: the scalar reference forms of the
+// training step (tests/support) vs the production kernels, on the
+// FB250K stand-in.
 //
 // Two configurations bracket the hot path:
-//   baseline  — all-reduce, 1 negative per positive (paper's FB250K
-//               baseline): gradient accumulation + Adam dominate.
-//   combined  — DRS + 1-bit + RP + SS 1:5 (the paper's best stack):
-//               hard-negative candidate scoring dominates, which is the
-//               forward path the blocked kernels batch.
+//   baseline  — 1 negative per positive (paper's FB250K baseline):
+//               gradient accumulation + Adam dominate.
+//   combined  — SS 1:5 negatives (the sample selection of the paper's
+//               best stack): hard-negative candidate scoring dominates,
+//               which is the forward path the blocked kernels batch.
 //
-// For each configuration both paths train the same job; the bench asserts
-// the final models are byte-identical (the blocked path's core contract)
-// and reports epoch throughput as positives retired per compute-CPU
-// second — CPU time, not wall time, so the number means the same thing on
-// a loaded CI runner and a quiet laptop.
+// For each configuration, one pass over the training triples in batches
+// (negatives drawn per batch, then forward/backward, then Adam on every
+// touched row) runs twice from the same model and RNG seed: once with the
+// scalar reference (per-positive select_hard_negatives, one score() and
+// accumulate_gradients() call per example, per-row scalar Adam) and once
+// with the production forms (select_hard_negatives_block,
+// kge::accumulate_batch, RowAdam::update_rows). Trials alternate which
+// pass runs first; the row reports the median thread-CPU seconds of each,
+// their median same-run ratio, and whether every trial's two models ended
+// byte-identical. The configuration's blocked_throughput comes from a real
+// DistributedTrainer run at 8 simulated ranks: positives retired per
+// compute-CPU second — CPU time, not wall time, so the number means the
+// same thing on a loaded CI runner and a quiet laptop.
 //
 // A third row times the per-triple plain-SGD step of the federated and
-// Hogwild trainers: one pass over the training triples (each followed by
-// its uniform corruptions, as a federated client trains) with a copy of
-// the ModelGrads step those trainers used before kge::SgdStep, and one
-// with SgdStep. Trials alternate which pass runs first; the row reports
-// the median thread-CPU seconds of each, their same-run ratio, and
-// whether every trial's two models ended byte-identical.
+// Hogwild trainers the same way: one pass over the training triples (each
+// followed by its uniform corruptions, as a federated client trains) with
+// the reference hash-map step and one with kge::SgdStep.
 //
 // --bench-json <file> writes the machine-readable results consumed by
 // tools/check_bench.py (the CI gate against BENCH_train.baseline.json).
@@ -33,11 +38,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/hard_negatives.hpp"
 #include "harness/harness.hpp"
-#include "kge/loss.hpp"
+#include "kge/adam.hpp"
+#include "kge/batch_pass.hpp"
 #include "kge/model_factory.hpp"
 #include "kge/negative_sampler.hpp"
 #include "kge/sgd_step.hpp"
+#include "support/reference.hpp"
 #include "util/argparse.hpp"
 #include "util/json_writer.hpp"
 #include "util/thread_clock.hpp"
@@ -46,29 +54,7 @@ using namespace dynkge;
 
 namespace {
 
-struct PathResult {
-  double compute_cpu_seconds = 0.0;
-  double wall_seconds = 0.0;
-  int epochs = 0;
-  double throughput = 0.0;  ///< positives / compute-CPU-second
-  core::TrainReport report;
-};
-
-PathResult run_path(const kge::Dataset& dataset, core::TrainConfig config,
-                    bool block_kernels) {
-  config.block_kernels = block_kernels;
-  PathResult result;
-  result.report = bench::run_experiment(dataset, std::move(config));
-  result.compute_cpu_seconds = result.report.compute_cpu_seconds;
-  result.wall_seconds = result.report.wall_seconds;
-  result.epochs = result.report.epochs;
-  const double positives =
-      static_cast<double>(dataset.train().size()) * result.epochs;
-  result.throughput = result.compute_cpu_seconds > 0.0
-                          ? positives / result.compute_cpu_seconds
-                          : 0.0;
-  return result;
-}
+constexpr int kTrials = 5;
 
 bool models_identical(const kge::KgeModel& a, const kge::KgeModel& b) {
   const auto ea = a.entities().flat();
@@ -80,46 +66,158 @@ bool models_identical(const kge::KgeModel& a, const kge::KgeModel& b) {
          std::memcmp(ra.data(), rb.data(), ra.size_bytes()) == 0;
 }
 
-/// The per-triple step of the federated and Hogwild trainers before
-/// kge::SgdStep, verbatim: a hash-map ModelGrads cleared, filled and
-/// walked in sorted id order on every step.
-void reference_sgd_step(kge::KgeModel& model, kge::ModelGrads& grads,
-                        const kge::Triple& triple, int label,
-                        float learning_rate, float decay) {
-  const auto lg = kge::logistic_loss(
-      model.score(triple.head, triple.relation, triple.tail), label);
-  grads.clear();
-  model.accumulate_gradients(triple.head, triple.relation, triple.tail,
-                             static_cast<float>(lg.dscore), grads);
-  for (const auto& [grad, params] :
-       {std::pair{&grads.entity, &model.entities()},
-        std::pair{&grads.relation, &model.relations()}}) {
-    for (const std::int32_t id : grad->sorted_ids()) {
-      auto row = params->row(id);
-      const auto g = grad->row(id);
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        row[i] -= learning_rate * (g[i] + decay * row[i]);
-      }
-    }
-  }
-}
-
-struct StepRow {
-  std::size_t steps = 0;
-  double reference_cpu_seconds = 0.0;  ///< median over trials
-  double step_cpu_seconds = 0.0;       ///< median over trials
-  double speedup = 0.0;                ///< median per-trial ratio
-  bool byte_identical = true;
-};
-
 double median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
 }
 
-StepRow run_step_row(const kge::Dataset& dataset,
-                     const bench::HarnessOptions& options) {
-  constexpr int kTrials = 5;
+/// A reference pass against a production pass, over kTrials alternating
+/// trials.
+struct Comparison {
+  double reference_cpu_seconds = 0.0;  ///< median over trials
+  double candidate_cpu_seconds = 0.0;  ///< median over trials
+  double speedup = 0.0;                ///< median per-trial ratio
+  bool byte_identical = true;
+};
+
+/// Each pass trains a fresh clone of `initial` and returns the thread-CPU
+/// seconds of its timed part.
+template <typename ReferencePass, typename CandidatePass>
+Comparison compare(const kge::KgeModel& initial, ReferencePass reference_pass,
+                   CandidatePass candidate_pass) {
+  Comparison row;
+  std::vector<double> reference_seconds, candidate_seconds, ratios;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    auto reference = kge::clone_model(initial);
+    auto candidate = kge::clone_model(initial);
+    double reference_cpu = 0.0;
+    double candidate_cpu = 0.0;
+    if (trial % 2 == 0) {
+      reference_cpu = reference_pass(*reference);
+      candidate_cpu = candidate_pass(*candidate);
+    } else {
+      candidate_cpu = candidate_pass(*candidate);
+      reference_cpu = reference_pass(*reference);
+    }
+    row.byte_identical =
+        row.byte_identical && models_identical(*reference, *candidate);
+    reference_seconds.push_back(reference_cpu);
+    candidate_seconds.push_back(candidate_cpu);
+    ratios.push_back(candidate_cpu > 0.0 ? reference_cpu / candidate_cpu
+                                         : 0.0);
+  }
+  row.reference_cpu_seconds = median(reference_seconds);
+  row.candidate_cpu_seconds = median(candidate_seconds);
+  row.speedup = median(ratios);
+  return row;
+}
+
+std::unique_ptr<kge::KgeModel> initial_model(
+    const kge::Dataset& dataset, const bench::HarnessOptions& options,
+    util::Rng& rng) {
+  auto model = kge::make_model(options.model, dataset.num_entities(),
+                               dataset.num_relations(), options.rank);
+  model->set_init_scale(0.1f);
+  model->init(rng);
+  return model;
+}
+
+/// One epoch of the training step over `dataset.train()` in batches of
+/// config.batch_size, scalar reference vs production kernels.
+Comparison run_pass_row(const kge::Dataset& dataset,
+                        const bench::HarnessOptions& options,
+                        const core::TrainConfig& config) {
+  constexpr double kCoeffFloor = 1e-7;  // the trainer's underflow floor
+  const kge::NegativeSampler sampler(dataset);
+  const auto positives = dataset.train();
+  const std::size_t batch = config.batch_size;
+  const int sampled = config.strategy.negatives_sampled;
+  const int used = config.strategy.negatives_used;
+  kge::AdamConfig adam;
+  adam.learning_rate = config.lr.base_lr;
+  adam.weight_decay = config.weight_decay;
+  util::Rng init_rng(options.seed);
+  const auto initial = initial_model(dataset, options, init_rng);
+
+  // Both passes walk the same batches with the same negative-draw stream.
+  const auto batch_scale = [&](std::size_t size) {
+    return 1.0f /
+           static_cast<float>(size * (1 + static_cast<std::size_t>(used)));
+  };
+  const auto reference_pass = [&](kge::KgeModel& model) {
+    util::Rng rng(options.seed + 1);
+    reference::RowAdam entity_opt(model.num_entities(),
+                                  model.entities().width(), adam);
+    reference::RowAdam relation_opt(model.num_relations(),
+                                    model.relations().width(), adam);
+    kge::ModelGrads grads = model.make_grads();
+    kge::TripleList negatives;
+    std::vector<std::size_t> offsets;
+    const double start = util::thread_cpu_seconds();
+    for (std::size_t begin = 0; begin < positives.size(); begin += batch) {
+      const auto step = positives.subspan(
+          begin, std::min(batch, positives.size() - begin));
+      negatives.clear();
+      offsets.assign(1, 0);
+      for (const kge::Triple& positive : step) {
+        reference::select_hard_negatives(model, sampler, positive, sampled,
+                                         used, rng, negatives);
+        offsets.push_back(negatives.size());
+      }
+      grads.clear();
+      reference::accumulate_batch(model, step, negatives, offsets,
+                                  batch_scale(step.size()), kCoeffFloor,
+                                  grads);
+      entity_opt.begin_step();
+      relation_opt.begin_step();
+      for (const std::int32_t id : grads.entity.sorted_ids()) {
+        entity_opt.update_row(id, grads.entity.row(id), model.entities());
+      }
+      for (const std::int32_t id : grads.relation.sorted_ids()) {
+        relation_opt.update_row(id, grads.relation.row(id),
+                                model.relations());
+      }
+    }
+    return util::thread_cpu_seconds() - start;
+  };
+  const auto production_pass = [&](kge::KgeModel& model) {
+    util::Rng rng(options.seed + 1);
+    kge::RowAdam entity_opt(model.num_entities(), model.entities().width(),
+                            adam);
+    kge::RowAdam relation_opt(model.num_relations(),
+                              model.relations().width(), adam);
+    kge::ModelGrads grads = model.make_grads();
+    kge::TripleList negatives;
+    std::vector<std::size_t> offsets;
+    core::HardNegativeScratch hn_scratch;
+    kge::BatchScratch batch_scratch;
+    const double start = util::thread_cpu_seconds();
+    for (std::size_t begin = 0; begin < positives.size(); begin += batch) {
+      const auto step = positives.subspan(
+          begin, std::min(batch, positives.size() - begin));
+      negatives.clear();
+      offsets.assign(1, 0);
+      core::select_hard_negatives_block(model, sampler, step, sampled, used,
+                                        rng, negatives, offsets,
+                                        hn_scratch);
+      grads.clear();
+      kge::accumulate_batch(model, step, negatives, offsets,
+                            batch_scale(step.size()), kCoeffFloor, grads,
+                            batch_scratch);
+      entity_opt.begin_step();
+      relation_opt.begin_step();
+      entity_opt.update_rows(grads.entity, model.entities());
+      relation_opt.update_rows(grads.relation, model.relations());
+    }
+    return util::thread_cpu_seconds() - start;
+  };
+  return compare(*initial, reference_pass, production_pass);
+}
+
+/// The per-triple plain-SGD step: reference hash-map step vs SgdStep.
+Comparison run_step_row(const kge::Dataset& dataset,
+                        const bench::HarnessOptions& options,
+                        std::size_t& steps) {
   constexpr float kLearningRate = 0.05f;
   constexpr float kDecay = 1e-6f;
 
@@ -134,51 +232,27 @@ StepRow run_step_row(const kge::Dataset& dataset,
       examples.emplace_back(sampler.corrupt(positive, rng), -1);
     }
   }
-  auto initial = kge::make_model(options.model, dataset.num_entities(),
-                                 dataset.num_relations(), options.rank);
-  initial->set_init_scale(0.1f);
-  initial->init(rng);
-
-  StepRow row;
-  row.steps = examples.size();
-  std::vector<double> reference_seconds, step_seconds, ratios;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    auto reference = kge::clone_model(*initial);
-    auto stepped = kge::clone_model(*initial);
-    double reference_cpu = 0.0;
-    double step_cpu = 0.0;
-    const auto reference_pass = [&] {
-      kge::ModelGrads grads = reference->make_grads();
-      const util::ThreadCpuTimer timer(reference_cpu);
-      for (const auto& [triple, label] : examples) {
-        reference_sgd_step(*reference, grads, triple, label, kLearningRate,
-                           kDecay);
-      }
-    };
-    const auto step_pass = [&] {
-      kge::SgdStep step(*stepped, kDecay);
-      const util::ThreadCpuTimer timer(step_cpu);
-      for (const auto& [triple, label] : examples) {
-        step(triple, label, kLearningRate);
-      }
-    };
-    if (trial % 2 == 0) {
-      reference_pass();
-      step_pass();
-    } else {
-      step_pass();
-      reference_pass();
-    }
-    row.byte_identical =
-        row.byte_identical && models_identical(*reference, *stepped);
-    reference_seconds.push_back(reference_cpu);
-    step_seconds.push_back(step_cpu);
-    ratios.push_back(step_cpu > 0.0 ? reference_cpu / step_cpu : 0.0);
-  }
-  row.reference_cpu_seconds = median(reference_seconds);
-  row.step_cpu_seconds = median(step_seconds);
-  row.speedup = median(ratios);
-  return row;
+  steps = examples.size();
+  const auto initial = initial_model(dataset, options, rng);
+  return compare(
+      *initial,
+      [&](kge::KgeModel& model) {
+        kge::ModelGrads grads = model.make_grads();
+        const double start = util::thread_cpu_seconds();
+        for (const auto& [triple, label] : examples) {
+          reference::sgd_step(model, grads, triple, label, kLearningRate,
+                              kDecay);
+        }
+        return util::thread_cpu_seconds() - start;
+      },
+      [&](kge::KgeModel& model) {
+        kge::SgdStep step(model, kDecay);
+        const double start = util::thread_cpu_seconds();
+        for (const auto& [triple, label] : examples) {
+          step(triple, label, kLearningRate);
+        }
+        return util::thread_cpu_seconds() - start;
+      });
 }
 
 }  // namespace
@@ -197,8 +271,8 @@ int main(int argc, char** argv) {
   const kge::Dataset dataset = bench::make_dataset(options);
   bench::print_banner(
       "Training kernels: scalar reference vs blocked (batched) hot path",
-      "blocked kernels change throughput only — final embeddings are "
-      "byte-identical to the scalar path under every strategy",
+      "blocked kernels change throughput only — models are byte-identical "
+      "to the scalar reference step",
       options, dataset);
 
   const int ranks = static_cast<int>(options.nodes.back());
@@ -224,85 +298,84 @@ int main(int argc, char** argv) {
   json.key("rank").value(static_cast<std::int64_t>(options.rank));
 
   bool all_identical = true;
+  // Two table rows and the JSON fields of one comparison; `work` is the
+  // positives (or steps) one pass retires.
+  const auto report = [&](const char* name, const char* reference,
+                          const char* candidate, const Comparison& row,
+                          double work) {
+    all_identical = all_identical && row.byte_identical;
+    const char* identical = row.byte_identical ? "yes" : "NO";
+    table.begin_row()
+        .add(name)
+        .add(reference)
+        .add(std::int64_t{1})
+        .add(row.reference_cpu_seconds, 3)
+        .add(work / row.reference_cpu_seconds, 0)
+        .add(1.0, 2)
+        .add(identical);
+    table.begin_row()
+        .add(name)
+        .add(candidate)
+        .add(std::int64_t{1})
+        .add(row.candidate_cpu_seconds, 3)
+        .add(work / row.candidate_cpu_seconds, 0)
+        .add(row.speedup, 2)
+        .add(identical);
+    json.key("reference_cpu_seconds").value(row.reference_cpu_seconds);
+    json.key("speedup").value(row.speedup);
+    json.key("byte_identical").value(row.byte_identical);
+  };
+
+  const auto positives = static_cast<double>(dataset.train().size());
   for (const Config& config : configs) {
     core::TrainConfig train = bench::make_config(options, ranks);
     train.strategy = config.strategy;
     train.max_epochs = options.max_epochs;
-    // Plateau stops would let the two paths retire different epoch counts
-    // on measurement noise; pin the work instead.
+    // Plateau stops would let runs retire different epoch counts on
+    // measurement noise; pin the work instead.
     train.lr.tolerance = options.max_epochs + 1;
     train.compute_final_metrics = false;
     train.valid_max_triples = 50;
 
-    const PathResult scalar = run_path(dataset, train, false);
-    const PathResult blocked = run_path(dataset, train, true);
-    const bool identical =
-        models_identical(*scalar.report.model, *blocked.report.model);
-    all_identical = all_identical && identical;
-    const double speedup = scalar.compute_cpu_seconds > 0.0
-                               ? scalar.compute_cpu_seconds /
-                                     blocked.compute_cpu_seconds
-                               : 0.0;
-
-    table.begin_row()
-        .add(config.name)
-        .add("scalar")
-        .add(static_cast<std::int64_t>(scalar.epochs))
-        .add(scalar.compute_cpu_seconds, 3)
-        .add(scalar.throughput, 0)
-        .add(1.0, 2)
-        .add(identical ? "yes" : "NO");
-    table.begin_row()
-        .add(config.name)
-        .add("blocked")
-        .add(static_cast<std::int64_t>(blocked.epochs))
-        .add(blocked.compute_cpu_seconds, 3)
-        .add(blocked.throughput, 0)
-        .add(speedup, 2)
-        .add(identical ? "yes" : "NO");
-
     json.key(config.name).begin_object();
-    json.key("scalar_cpu_seconds").value(scalar.compute_cpu_seconds);
-    json.key("blocked_cpu_seconds").value(blocked.compute_cpu_seconds);
-    json.key("scalar_throughput").value(scalar.throughput);
-    json.key("blocked_throughput").value(blocked.throughput);
-    json.key("speedup").value(speedup);
-    json.key("epochs").value(static_cast<std::int64_t>(blocked.epochs));
-    json.key("byte_identical").value(identical);
+    const Comparison pass = run_pass_row(dataset, options, train);
+    report(config.name, "reference", "blocked", pass, positives);
+    json.key("blocked_pass_cpu_seconds").value(pass.candidate_cpu_seconds);
+
+    const core::TrainReport trained = bench::run_experiment(dataset, train);
+    const double throughput =
+        trained.compute_cpu_seconds > 0.0
+            ? positives * trained.epochs / trained.compute_cpu_seconds
+            : 0.0;
+    table.begin_row()
+        .add(config.name)
+        .add("trainer")
+        .add(static_cast<std::int64_t>(trained.epochs))
+        .add(trained.compute_cpu_seconds, 3)
+        .add(throughput, 0)
+        .add("-")
+        .add("-");
+    json.key("blocked_cpu_seconds").value(trained.compute_cpu_seconds);
+    json.key("blocked_throughput").value(throughput);
+    json.key("epochs").value(static_cast<std::int64_t>(trained.epochs));
     json.end_object();
   }
 
-  const StepRow step = run_step_row(dataset, options);
-  all_identical = all_identical && step.byte_identical;
-  const auto steps = static_cast<double>(step.steps);
-  table.begin_row()
-      .add("sgd_step")
-      .add("hash-map")
-      .add(std::int64_t{1})
-      .add(step.reference_cpu_seconds, 3)
-      .add(steps / step.reference_cpu_seconds, 0)
-      .add(1.0, 2)
-      .add(step.byte_identical ? "yes" : "NO");
-  table.begin_row()
-      .add("sgd_step")
-      .add("SgdStep")
-      .add(std::int64_t{1})
-      .add(step.step_cpu_seconds, 3)
-      .add(steps / step.step_cpu_seconds, 0)
-      .add(step.speedup, 2)
-      .add(step.byte_identical ? "yes" : "NO");
+  std::size_t steps = 0;
+  const Comparison step = run_step_row(dataset, options, steps);
   json.key("sgd_step").begin_object();
-  json.key("steps").value(static_cast<std::int64_t>(step.steps));
-  json.key("reference_cpu_seconds").value(step.reference_cpu_seconds);
-  json.key("step_cpu_seconds").value(step.step_cpu_seconds);
-  json.key("speedup").value(step.speedup);
-  json.key("byte_identical").value(step.byte_identical);
+  report("sgd_step", "hash-map", "SgdStep", step,
+         static_cast<double>(steps));
+  json.key("step_cpu_seconds").value(step.candidate_cpu_seconds);
+  json.key("steps").value(static_cast<std::int64_t>(steps));
   json.end_object();
 
   json.key("byte_identical").value(all_identical);
   json.end_object();
 
-  bench::emit(table, "Scalar vs blocked training kernels, per-triple SGD step",
+  bench::emit(table,
+              "Scalar reference vs blocked training step, per-triple SGD "
+              "step",
               options.csv);
 
   if (!bench_json.empty()) {
@@ -317,8 +390,8 @@ int main(int argc, char** argv) {
   }
   if (!all_identical) {
     std::fprintf(stderr,
-                 "[bench] FAIL: blocked path or SgdStep diverged from its "
-                 "reference\n");
+                 "[bench] FAIL: the blocked pass or SgdStep diverged from "
+                 "its reference\n");
     return 1;
   }
   return 0;

@@ -5,36 +5,6 @@
 
 namespace dynkge::core {
 
-int select_hard_negatives(const kge::KgeModel& model,
-                          const kge::NegativeSampler& sampler,
-                          const kge::Triple& positive, int sampled, int used,
-                          util::Rng& rng, kge::TripleList& out) {
-  if (sampled < 1 || used < 1) {
-    throw std::invalid_argument("select_hard_negatives: counts must be >= 1");
-  }
-  if (used >= sampled) {
-    sampler.corrupt_n(positive, sampled, rng, out);
-    return 0;
-  }
-
-  std::vector<std::pair<double, kge::Triple>> scored;
-  scored.reserve(sampled);
-  for (int i = 0; i < sampled; ++i) {
-    const kge::Triple negative = sampler.corrupt(positive, rng);
-    scored.emplace_back(
-        model.score(negative.head, negative.relation, negative.tail),
-        negative);
-  }
-  // The hardest negatives are the highest scoring (the model is least sure
-  // they are false). partial_sort keeps this O(n log m).
-  std::partial_sort(scored.begin(), scored.begin() + used, scored.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first > b.first;
-                    });
-  for (int i = 0; i < used; ++i) out.push_back(scored[i].second);
-  return sampled;
-}
-
 std::size_t select_hard_negatives_block(
     const kge::KgeModel& model, const kge::NegativeSampler& sampler,
     std::span<const kge::Triple> positives, int sampled, int used,
@@ -45,8 +15,7 @@ std::size_t select_hard_negatives_block(
         "select_hard_negatives_block: counts must be >= 1");
   }
   if (used >= sampled) {
-    // Baseline behaviour: every corruption trains, no scoring pass. The
-    // draws happen positive by positive, exactly like the scalar loop.
+    // Baseline behaviour: every corruption trains, no scoring pass.
     for (const kge::Triple& positive : positives) {
       sampler.corrupt_n(positive, sampled, rng, out);
       offsets.push_back(out.size());
@@ -55,9 +24,9 @@ std::size_t select_hard_negatives_block(
   }
 
   // Draw every positive's candidates up front. Scoring consumes no RNG, so
-  // grouping all draws first leaves the RNG stream identical to the scalar
-  // interleaving (draw, score, draw, score, ...) — candidate j of positive
-  // i is still the (i * sampled + j)-th corruption drawn.
+  // grouping all draws first leaves the RNG stream identical to a
+  // per-positive interleaving (draw, score, draw, score, ...) — candidate
+  // j of positive i is the (i * sampled + j)-th corruption drawn.
   scratch.candidates.clear();
   for (const kge::Triple& positive : positives) {
     for (int i = 0; i < sampled; ++i) {
@@ -68,8 +37,9 @@ std::size_t select_hard_negatives_block(
   scratch.scores.resize(scratch.candidates.size());
   model.score_triples_block(scratch.candidates, scratch.scores);
 
-  // Per positive: the same (score, triple) sequence the scalar path builds
-  // and the same partial_sort call, so ties break identically.
+  // Per positive: the hardest negatives are the highest scoring (the
+  // model is least sure they are false); partial_sort keeps this
+  // O(n log m) and breaks ties identically to the scalar reference.
   for (std::size_t p = 0; p < positives.size(); ++p) {
     scratch.scored.clear();
     const std::size_t base = p * static_cast<std::size_t>(sampled);

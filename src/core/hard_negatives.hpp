@@ -11,21 +11,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/strategy_config.hpp"
 #include "kge/model.hpp"
 #include "kge/negative_sampler.hpp"
 
 namespace dynkge::core {
-
-/// Append to `out` the `used` hardest of `sampled` uniform corruptions of
-/// `positive`. When used >= sampled, all corruptions are appended without
-/// any scoring pass (baseline behaviour, zero overhead).
-/// Returns the number of forward-pass scores computed (0 or `sampled`),
-/// which the trainer charges to the simulated compute clock.
-int select_hard_negatives(const kge::KgeModel& model,
-                          const kge::NegativeSampler& sampler,
-                          const kge::Triple& positive, int sampled, int used,
-                          util::Rng& rng, kge::TripleList& out);
 
 /// Reusable buffers for select_hard_negatives_block (one per rank; reused
 /// across steps so the hot path allocates only while a batch grows past
@@ -36,14 +25,17 @@ struct HardNegativeScratch {
   std::vector<std::pair<double, kge::Triple>> scored;
 };
 
-/// Blocked form of select_hard_negatives over a whole batch of positives:
-/// per positive the same corruption draws in the same RNG order, but the
-/// forward passes for all candidates of the batch run through one
-/// score_triples_block call. Appends the selected negatives to `out` and
-/// pushes each positive's end offset into `offsets` (whose existing
-/// contents are kept, matching the trainer's `negative_offsets` shape).
-/// Byte-identical selection to calling select_hard_negatives per positive.
-/// Returns the total number of forward-pass scores computed.
+/// For each positive of the batch, in order, append to `out` the `used`
+/// hardest of `sampled` uniform corruptions and push the positive's end
+/// offset into `offsets` (whose existing contents are kept, matching the
+/// callers' `negative_offsets` shape). The corruptions are drawn positive
+/// by positive in one RNG stream; the forward passes for all candidates
+/// of the batch run through one score_triples_block call. When used >=
+/// sampled, all corruptions are appended without any scoring pass
+/// (baseline behaviour, zero overhead). Throws std::invalid_argument when
+/// either count is below 1. Returns the number of forward-pass scores
+/// computed (0 or positives.size() * sampled), which the trainer charges
+/// to the simulated compute clock.
 std::size_t select_hard_negatives_block(
     const kge::KgeModel& model, const kge::NegativeSampler& sampler,
     std::span<const kge::Triple> positives, int sampled, int used,

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -21,8 +20,8 @@
 #include "core/hard_negatives.hpp"
 #include "core/relation_partition.hpp"
 #include "kge/adam.hpp"
+#include "kge/batch_pass.hpp"
 #include "kge/checkpoint_dir.hpp"
-#include "kge/loss.hpp"
 #include "kge/model_factory.hpp"
 #include "kge/serialize.hpp"
 #include "util/json_writer.hpp"
@@ -430,16 +429,12 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
 
     TripleList shard = shards[rank];
     kge::ModelGrads local = model->make_grads();
-    // Blocked-kernel batch scratch, reused across steps so the steady-state
-    // hot path stops allocating. The scalar reference path ignores these.
-    const bool blocked = config_.block_kernels;
+    // Batch scratch, reused across steps so the steady-state hot path
+    // stops allocating.
     TripleList negatives;
     std::vector<std::size_t> negative_offsets;
     HardNegativeScratch hn_scratch;
-    TripleList batch_triples;
-    std::vector<double> batch_scores;
-    std::vector<kge::GradWork> grad_work;
-    std::vector<std::array<std::size_t, 3>> grad_offsets;
+    kge::BatchScratch batch_scratch;
     const auto topk_k = static_cast<std::size_t>(strategy.topk_k);
     GradSelector entity_selector(strategy.selection,
                                  strategy.selection_residual, topk_k);
@@ -567,124 +562,23 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
           // selection with the loss pass — and gives the trace one clean
           // hard-negative span per step.
           negatives.clear();
-          negative_offsets.clear();
-          negative_offsets.reserve(end - begin + 1);
-          negative_offsets.push_back(0);
+          negative_offsets.assign(1, 0);
+          const auto positives =
+              std::span<const Triple>(shard).subspan(begin, end - begin);
           {
             const obs::TraceSpan span(tel.trace, "hard_negatives", rank);
-            if (blocked) {
-              ss_scored_sum += select_hard_negatives_block(
-                  *model, sampler,
-                  std::span<const Triple>(shard).subspan(begin, end - begin),
-                  strategy.negatives_sampled, strategy.negatives_used,
-                  epoch_rng, negatives, negative_offsets, hn_scratch);
-            } else {
-              for (std::size_t i = begin; i < end; ++i) {
-                ss_scored_sum +=
-                    static_cast<std::size_t>(select_hard_negatives(
-                        *model, sampler, shard[i], strategy.negatives_sampled,
-                        strategy.negatives_used, epoch_rng, negatives));
-                negative_offsets.push_back(negatives.size());
-              }
-            }
+            ss_scored_sum += select_hard_negatives_block(
+                *model, sampler, positives, strategy.negatives_sampled,
+                strategy.negatives_used, epoch_rng, negatives,
+                negative_offsets, hn_scratch);
           }
           ss_kept_sum += negatives.size();
 
           {
             const obs::TraceSpan span(tel.trace, "forward_backward", rank);
-            if (blocked) {
-              // Gather the step's examples in the scalar loss order —
-              // positive i, then its selected negatives — and score them
-              // through one blocked forward pass.
-              batch_triples.clear();
-              for (std::size_t i = begin; i < end; ++i) {
-                batch_triples.push_back(shard[i]);
-                const std::size_t neg_end = negative_offsets[i - begin + 1];
-                for (std::size_t n = negative_offsets[i - begin];
-                     n < neg_end; ++n) {
-                  batch_triples.push_back(negatives[n]);
-                }
-              }
-              batch_scores.resize(batch_triples.size());
-              model->score_triples_block(batch_triples, batch_scores);
-
-              // Loss pass over the precomputed scores, in the scalar
-              // accumulation order (loss_sum is order-sensitive).
-              grad_work.clear();
-              std::size_t idx = 0;
-              for (std::size_t i = begin; i < end; ++i) {
-                const Triple& positive = batch_triples[idx];
-                const auto pos = kge::logistic_loss(batch_scores[idx], +1);
-                ++idx;
-                loss_sum += pos.loss;
-                if (std::fabs(pos.dscore) >= kCoeffUnderflow) {
-                  grad_work.push_back(
-                      {positive.head, positive.relation, positive.tail,
-                       static_cast<float>(pos.dscore) * inv_examples});
-                }
-                const std::size_t neg_end = negative_offsets[i - begin + 1];
-                for (std::size_t n = negative_offsets[i - begin];
-                     n < neg_end; ++n) {
-                  const Triple& negative = batch_triples[idx];
-                  const auto neg = kge::logistic_loss(batch_scores[idx], -1);
-                  ++idx;
-                  loss_sum += neg.loss;
-                  if (std::fabs(neg.dscore) < kCoeffUnderflow) continue;
-                  grad_work.push_back(
-                      {negative.head, negative.relation, negative.tail,
-                       static_cast<float>(neg.dscore) * inv_examples});
-                }
-              }
-
-              // Create every gradient row in the scalar creation order
-              // (h, t, r per item), recording arena offsets — offsets,
-              // unlike spans, survive arena growth — then resolve stable
-              // row pointers and run the block kernel over the batch.
-              grad_offsets.resize(grad_work.size());
-              for (std::size_t w = 0; w < grad_work.size(); ++w) {
-                grad_offsets[w] = {
-                    local.entity.accumulate_offset(grad_work[w].h),
-                    local.entity.accumulate_offset(grad_work[w].t),
-                    local.relation.accumulate_offset(grad_work[w].r)};
-              }
-              for (std::size_t w = 0; w < grad_work.size(); ++w) {
-                grad_work[w].gh =
-                    local.entity.row_at(grad_offsets[w][0]).data();
-                grad_work[w].gt =
-                    local.entity.row_at(grad_offsets[w][1]).data();
-                grad_work[w].gr =
-                    local.relation.row_at(grad_offsets[w][2]).data();
-              }
-              model->accumulate_gradients_block(grad_work, local);
-            } else {
-              for (std::size_t i = begin; i < end; ++i) {
-                const Triple& positive = shard[i];
-                const auto pos = kge::logistic_loss(
-                    model->score(positive.head, positive.relation,
-                                 positive.tail),
-                    +1);
-                loss_sum += pos.loss;
-                if (std::fabs(pos.dscore) >= kCoeffUnderflow) {
-                  model->accumulate_gradients(
-                      positive.head, positive.relation, positive.tail,
-                      static_cast<float>(pos.dscore) * inv_examples, local);
-                }
-                const std::size_t neg_end = negative_offsets[i - begin + 1];
-                for (std::size_t n = negative_offsets[i - begin];
-                     n < neg_end; ++n) {
-                  const Triple& negative = negatives[n];
-                  const auto neg = kge::logistic_loss(
-                      model->score(negative.head, negative.relation,
-                                   negative.tail),
-                      -1);
-                  loss_sum += neg.loss;
-                  if (std::fabs(neg.dscore) < kCoeffUnderflow) continue;
-                  model->accumulate_gradients(
-                      negative.head, negative.relation, negative.tail,
-                      static_cast<float>(neg.dscore) * inv_examples, local);
-                }
-              }
-            }
+            loss_sum = kge::accumulate_batch(
+                *model, positives, negatives, negative_offsets, inv_examples,
+                kCoeffUnderflow, local, batch_scratch, loss_sum);
           }
           loss_count += local_examples;
 
@@ -720,49 +614,20 @@ TrainReport DistributedTrainer::run_attempt(int world_size,
           relation_opt.begin_step();
           // The merged gradient is read part by part in owner order,
           // which is ascending id order.
-          if (blocked) {
-            for (const kge::ModelGrads& part : merged.parts) {
-              entity_opt.update_rows(part.entity, model->entities());
-            }
-            // Strategy 4: relation rows update from the local
-            // full-precision gradient (this rank is their only writer),
-            // scaled to match the merged-gradient averaging; otherwise
-            // from the merged cluster average like entity rows.
-            if (strategy.relation_partition) {
-              relation_opt.update_rows_scaled(
-                  local.relation, 1.0f / static_cast<float>(num_nodes),
-                  model->relations());
-            } else {
-              for (const kge::ModelGrads& part : merged.parts) {
-                relation_opt.update_rows(part.relation, model->relations());
-              }
-            }
+          for (const kge::ModelGrads& part : merged.parts) {
+            entity_opt.update_rows(part.entity, model->entities());
+          }
+          // Strategy 4: relation rows update from the local full-precision
+          // gradient (this rank is their only writer), scaled to match the
+          // merged-gradient averaging; otherwise from the merged cluster
+          // average like entity rows.
+          if (strategy.relation_partition) {
+            relation_opt.update_rows_scaled(
+                local.relation, 1.0f / static_cast<float>(num_nodes),
+                model->relations());
           } else {
             for (const kge::ModelGrads& part : merged.parts) {
-              for (const std::int32_t id : part.entity.sorted_ids()) {
-                entity_opt.update_row(id, part.entity.row(id),
-                                      model->entities());
-              }
-            }
-            // Strategy 4: relation rows update from the local
-            // full-precision gradient (this rank is their only writer);
-            // otherwise from the merged cluster average like entity rows.
-            if (strategy.relation_partition) {
-              const float inv_nodes = 1.0f / static_cast<float>(num_nodes);
-              for (const std::int32_t id : local.relation.sorted_ids()) {
-                auto row = local.relation.row(id);
-                // Match the merged-gradient scaling so the effective step
-                // size is the same with and without partition.
-                for (float& v : row) v *= inv_nodes;
-                relation_opt.update_row(id, row, model->relations());
-              }
-            } else {
-              for (const kge::ModelGrads& part : merged.parts) {
-                for (const std::int32_t id : part.relation.sorted_ids()) {
-                  relation_opt.update_row(id, part.relation.row(id),
-                                          model->relations());
-                }
-              }
+              relation_opt.update_rows(part.relation, model->relations());
             }
           }
         }

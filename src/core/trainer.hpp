@@ -75,15 +75,6 @@ struct TrainConfig {
 
   StrategyConfig strategy;
 
-  /// Run the training hot path on the blocked kernels (batched scoring,
-  /// GradWork gradient blocks, blocked Adam, block quantize). The scalar
-  /// per-triple path is kept as the reference implementation; both produce
-  /// byte-identical embeddings under every strategy (the block-kernel
-  /// equivalence tests assert this), so this is purely a throughput knob —
-  /// false exists for the equivalence tests and the bench_kernels
-  /// baseline.
-  bool block_kernels = true;
-
   std::uint64_t seed = 1234;
 
   /// Periodic full-state snapshots + resume (see kge/serialize.hpp and the

@@ -36,34 +36,4 @@ void RowAdam::restore(std::int64_t step, EmbeddingMatrix m,
   v_ = std::move(v);
 }
 
-void RowAdam::update_row(std::int32_t row, std::span<const float> grad,
-                         EmbeddingMatrix& params) {
-  update_row(row, grad, params.row(row));
-}
-
-void RowAdam::update_row(std::int32_t moment_row, std::span<const float> grad,
-                         std::span<float> p) {
-  if (step_ == 0) {
-    throw std::logic_error("RowAdam::update_row before begin_step");
-  }
-  auto m = m_.row(moment_row);
-  auto v = v_.row(moment_row);
-  if (grad.size() != p.size() || p.size() != m.size()) {
-    throw std::invalid_argument("RowAdam: gradient width mismatch");
-  }
-  const auto b1 = static_cast<float>(config_.beta1);
-  const auto b2 = static_cast<float>(config_.beta2);
-  const auto wd = static_cast<float>(config_.weight_decay);
-  const double lr = config_.learning_rate;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    const float g = grad[i] + wd * p[i];
-    m[i] = b1 * m[i] + (1.0f - b1) * g;
-    v[i] = b2 * v[i] + (1.0f - b2) * g * g;
-    const double m_hat = m[i] / bias1_;
-    const double v_hat = v[i] / bias2_;
-    p[i] -= static_cast<float>(lr * m_hat /
-                               (std::sqrt(v_hat) + config_.epsilon));
-  }
-}
-
 }  // namespace dynkge::kge

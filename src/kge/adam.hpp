@@ -34,26 +34,20 @@ class RowAdam {
   /// per optimizer step, before any update_row of that step.
   void begin_step();
 
-  /// Apply one Adam update to `params.row(row)` with gradient `grad`.
-  void update_row(std::int32_t row, std::span<const float> grad,
-                  EmbeddingMatrix& params);
-
-  /// Row-span form: update the parameter row `p` against moment row
-  /// `moment_row`, for callers whose moments are indexed apart from the
-  /// parameter matrix (e.g. sized to a subset of its rows).
+  /// Apply one Adam update to the parameter row `p` with gradient `grad`,
+  /// against moment row `moment_row` — indexed apart from the parameter
+  /// matrix, so the moments may cover a subset of its rows.
   void update_row(std::int32_t moment_row, std::span<const float> grad,
                   std::span<float> p);
 
-  /// Blocked form (adam_block.cpp): apply one Adam update per row of
-  /// `grads`, in ascending id order — byte-identical to calling update_row
-  /// for each sorted id, but without the per-row hash lookups and with a
-  /// vectorizable inner loop (the TU drops libm errno).
+  /// Blocked form: apply one Adam update per row of `grads` (moment row =
+  /// id), in ascending id order — byte-identical to calling update_row for
+  /// each sorted id, but without the per-row hash lookups.
   void update_rows(const SparseGrad& grads, EmbeddingMatrix& params);
 
   /// update_rows after scaling every gradient row by `scale` in place
   /// (the relation-partition path divides the local gradient by the node
-  /// count before the update; scaling mutates `grads` exactly like the
-  /// scalar path does).
+  /// count before the update).
   void update_rows_scaled(SparseGrad& grads, float scale,
                           EmbeddingMatrix& params);
 

@@ -1,19 +1,21 @@
-// Blocked Adam application: one call retires every row of a SparseGrad.
+// The Adam element loop, and every entry point that applies it.
 //
 // This translation unit is compiled with -fno-math-errno (value-safe: only
 // libm's errno side effect is dropped) so the per-element loop — which
-// carries a double sqrt — vectorizes. The scalar reference path
-// (RowAdam::update_row in adam.cpp) keeps the default flags; the kernel
-// benchmark compares against its pre-overhaul codegen.
+// carries a double sqrt — vectorizes. It is the only Adam body in the
+// library: the per-row form (update_row, for callers whose moments are
+// indexed apart from the parameter matrix) and the blocked forms
+// (update_rows*) all run adam_row.
 //
-// Determinism contract (DESIGN.md "Blocked training kernels"): rows are
-// visited in ascending id order — exactly the order the scalar trainer
-// loop visits sorted_ids() — and the per-element arithmetic is copied
-// verbatim from update_row, so parameters, moments, and their bytes are
-// identical between the two paths. The only differences are mechanical:
+// Determinism contract (DESIGN.md "Blocked training kernels"): the
+// blocked forms visit rows in ascending id order — the order a caller
+// walking sorted_ids() with update_row would — and every form runs the
+// same per-element arithmetic, so parameters, moments, and their bytes
+// are identical between them. The only differences are mechanical:
 // sorted_slots() replaces one hash lookup per row with a direct arena
 // access, and the step-state checks and config loads are hoisted out of
-// the row loop.
+// the row loop. The pre-blocked scalar body is kept as a test reference
+// (tests/support) that the kernel tests and bench compare against.
 
 #include <cmath>
 #include <stdexcept>
@@ -40,6 +42,23 @@ void adam_row(const float* __restrict g, float* __restrict p,
 }
 
 }  // namespace
+
+void RowAdam::update_row(std::int32_t moment_row, std::span<const float> grad,
+                         std::span<float> p) {
+  if (step_ == 0) {
+    throw std::logic_error("RowAdam::update_row before begin_step");
+  }
+  auto m = m_.row(moment_row);
+  auto v = v_.row(moment_row);
+  if (grad.size() != p.size() || p.size() != m.size()) {
+    throw std::invalid_argument("RowAdam: gradient width mismatch");
+  }
+  adam_row(grad.data(), p.data(), m.data(), v.data(), p.size(),
+           static_cast<float>(config_.beta1),
+           static_cast<float>(config_.beta2),
+           static_cast<float>(config_.weight_decay), config_.learning_rate,
+           bias1_, bias2_, config_.epsilon);
+}
 
 void RowAdam::update_rows(const SparseGrad& grads, EmbeddingMatrix& params) {
   if (step_ == 0) {

@@ -7,7 +7,7 @@
 
 #include "core/hard_negatives.hpp"
 #include "kge/adam.hpp"
-#include "kge/loss.hpp"
+#include "kge/batch_pass.hpp"
 #include "kge/negative_sampler.hpp"
 #include "util/rng.hpp"
 
@@ -27,17 +27,6 @@ kge::Triple corrupt_uniform(const kge::Triple& positive,
     negative.tail = replacement;
   }
   return negative;
-}
-
-void accumulate_triple(const kge::KgeModel& model, const kge::Triple& triple,
-                       int label, kge::ModelGrads& grads, double& loss_sum,
-                       std::size_t& loss_count) {
-  const double score = model.score(triple.head, triple.relation, triple.tail);
-  const auto lg = kge::logistic_loss(score, label);
-  loss_sum += lg.loss;
-  ++loss_count;
-  model.accumulate_gradients(triple.head, triple.relation, triple.tail,
-                             static_cast<float>(lg.dscore), grads);
 }
 
 }  // namespace
@@ -89,48 +78,57 @@ RefreshResult incremental_refresh(kge::KgeModel& model,
   if (dataset != nullptr) sampler.emplace(*dataset, true);
   kge::ModelGrads grads = model.make_grads();
   kge::TripleList negatives;
+  std::vector<std::size_t> negative_offsets;
+  core::HardNegativeScratch hn_scratch;
+  kge::BatchScratch batch;
 
   for (int step = 0; step < params.steps; ++step) {
-    grads.clear();
-    double loss_sum = 0.0;
-    std::size_t loss_count = 0;
-    for (const kge::Triple& positive : deltas) {
-      accumulate_triple(model, positive, +1, grads, loss_sum, loss_count);
-      negatives.clear();
-      if (hard_mining) {
-        // Strategy-5 reuse: score `sampled` corruptions, train on the
-        // hardest `used` (core/hard_negatives.hpp).
-        core::select_hard_negatives(model, *sampler, positive,
-                                    params.negatives_sampled,
-                                    params.negatives_used, rng, negatives);
-      } else {
-        for (int i = 0; i < params.negatives_sampled; ++i) {
-          negatives.push_back(sampler.has_value()
-                                  ? sampler->corrupt(positive, rng)
-                                  : corrupt_uniform(positive,
-                                                    model.num_entities(), rng));
+    // Every positive's negatives first: the model does not change until
+    // this step's Adam and scoring consumes no RNG, so drawing them up
+    // front keeps the RNG stream of drawing them positive by positive.
+    negatives.clear();
+    negative_offsets.assign(1, 0);
+    if (hard_mining) {
+      // Strategy-5 reuse: score `sampled` corruptions, train on the
+      // hardest `used` (core/hard_negatives.hpp).
+      core::select_hard_negatives_block(
+          model, *sampler, deltas, params.negatives_sampled,
+          params.negatives_used, rng, negatives, negative_offsets,
+          hn_scratch);
+    } else {
+      for (const kge::Triple& positive : deltas) {
+        if (sampler.has_value()) {
+          sampler->corrupt_n(positive, params.negatives_sampled, rng,
+                             negatives);
+        } else {
+          for (int i = 0; i < params.negatives_sampled; ++i) {
+            negatives.push_back(
+                corrupt_uniform(positive, model.num_entities(), rng));
+          }
         }
-      }
-      for (const kge::Triple& negative : negatives) {
-        accumulate_triple(model, negative, -1, grads, loss_sum, loss_count);
+        negative_offsets.push_back(negatives.size());
       }
     }
+    grads.clear();
+    const double loss_sum =
+        kge::accumulate_batch(model, deltas, negatives, negative_offsets,
+                              1.0f, 0.0, grads, batch);
 
     // Apply Adam only to rows inside the frozen-base contract, in sorted
     // id order (the determinism contract shared with the trainer).
     // Gradient rows for corruption entities outside the batch are
     // dropped; relation gradients are dropped entirely.
     entity_opt.begin_step();
-    for (const std::int32_t id : grads.entity.sorted_ids()) {
-      const auto slot = std::lower_bound(touched.begin(), touched.end(), id);
-      if (slot == touched.end() || *slot != id) continue;
-      entity_opt.update_row(static_cast<std::int32_t>(slot - touched.begin()),
-                            grads.entity.row(id), model.entities().row(id));
+    for (const kge::SparseGrad::SlotRef& slot : grads.entity.sorted_slots()) {
+      const auto it = std::lower_bound(touched.begin(), touched.end(), slot.id);
+      if (it == touched.end() || *it != slot.id) continue;
+      entity_opt.update_row(static_cast<std::int32_t>(it - touched.begin()),
+                            grads.entity.row_at(slot.offset),
+                            model.entities().row(slot.id));
       ++result.row_updates;
     }
-    if (loss_count > 0) {
-      result.mean_loss = loss_sum / static_cast<double>(loss_count);
-    }
+    result.mean_loss =
+        loss_sum / static_cast<double>(deltas.size() + negatives.size());
   }
 
   double drift_sq = 0.0;

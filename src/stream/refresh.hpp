@@ -51,7 +51,7 @@ struct RefreshResult {
 /// byte-identical). `version` is the snapshot version being produced —
 /// it salts the RNG stream so every publish is independent yet
 /// reproducible. `dataset` (optional) enables hard-negative mining
-/// (core::select_hard_negatives) when negatives_used < negatives_sampled;
+/// (core::select_hard_negatives_block) when negatives_used < negatives_sampled;
 /// without it, all sampled corruptions are used.
 RefreshResult incremental_refresh(kge::KgeModel& model,
                                   std::span<const kge::Triple> deltas,

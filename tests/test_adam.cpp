@@ -12,7 +12,7 @@ TEST(RowAdam, RequiresBeginStep) {
   RowAdam adam(2, 3);
   EmbeddingMatrix params(2, 3);
   const std::vector<float> grad(3, 1.0f);
-  EXPECT_THROW(adam.update_row(0, grad, params), std::logic_error);
+  EXPECT_THROW(adam.update_row(0, grad, params.row(0)), std::logic_error);
 }
 
 TEST(RowAdam, RejectsWidthMismatch) {
@@ -20,7 +20,8 @@ TEST(RowAdam, RejectsWidthMismatch) {
   EmbeddingMatrix params(2, 3);
   adam.begin_step();
   const std::vector<float> grad(4, 1.0f);
-  EXPECT_THROW(adam.update_row(0, grad, params), std::invalid_argument);
+  EXPECT_THROW(adam.update_row(0, grad, params.row(0)),
+               std::invalid_argument);
 }
 
 TEST(RowAdam, FirstStepMovesByLearningRate) {
@@ -31,7 +32,7 @@ TEST(RowAdam, FirstStepMovesByLearningRate) {
   EmbeddingMatrix params(1, 2);
   adam.begin_step();
   const std::vector<float> grad{1.0f, -2.0f};
-  adam.update_row(0, grad, params);
+  adam.update_row(0, grad, params.row(0));
   EXPECT_NEAR(params.row(0)[0], -0.1f, 1e-5);
   EXPECT_NEAR(params.row(0)[1], 0.1f, 1e-5);
 }
@@ -49,7 +50,7 @@ TEST(RowAdam, ConvergesOnQuadratic) {
     for (int i = 0; i < 4; ++i) {
       grad[i] = 2.0f * (params.row(0)[i] - target[i]);
     }
-    adam.update_row(0, grad, params);
+    adam.update_row(0, grad, params.row(0));
   }
   for (int i = 0; i < 4; ++i) {
     EXPECT_NEAR(params.row(0)[i], target[i], 1e-2);
@@ -67,7 +68,7 @@ TEST(RowAdam, WeightDecayShrinksParameters) {
   const std::vector<float> zero_grad(2, 0.0f);
   for (int step = 0; step < 2000; ++step) {
     adam.begin_step();
-    adam.update_row(0, zero_grad, params);
+    adam.update_row(0, zero_grad, params.row(0));
   }
   EXPECT_LT(std::fabs(params.row(0)[0]), 1.0f);
   EXPECT_LT(std::fabs(params.row(0)[1]), 1.0f);
@@ -80,7 +81,7 @@ TEST(RowAdam, LazyRowsKeepIndependentMoments) {
   params.row(1)[0] = 3.0f;
   const std::vector<float> grad{1.0f, 1.0f};
   adam.begin_step();
-  adam.update_row(0, grad, params);
+  adam.update_row(0, grad, params.row(0));
   EXPECT_FLOAT_EQ(params.row(1)[0], 3.0f);
 }
 
@@ -96,8 +97,8 @@ TEST(RowAdam, DeterministicAcrossInstances) {
     std::vector<float> grad(4);
     for (auto& g : grad) g = static_cast<float>(rng.next_double(-1, 1));
     const auto row = static_cast<std::int32_t>(rng.next_below(3));
-    a.update_row(row, grad, pa);
-    b.update_row(row, grad, pb);
+    a.update_row(row, grad, pa.row(row));
+    b.update_row(row, grad, pb.row(row));
   }
   for (std::size_t i = 0; i < pa.flat().size(); ++i) {
     EXPECT_EQ(pa.flat()[i], pb.flat()[i]);
@@ -128,7 +129,7 @@ TEST(RowAdam, SecondMomentDampensLargeGradients) {
   EmbeddingMatrix params(1, 1);
   adam.begin_step();
   const std::vector<float> grad{1e6f};
-  adam.update_row(0, grad, params);
+  adam.update_row(0, grad, params.row(0));
   EXPECT_NEAR(params.row(0)[0], -0.01f, 1e-4);
 }
 

@@ -1,15 +1,15 @@
-// Blocked-kernel equivalence: the batched score/gradient/Adam kernels
-// must be byte-identical to the scalar reference path — per kernel on
-// adversarial inputs (h == t aliasing, non-multiple-of-4 block sizes) and
-// end to end through the trainer across models, quantization modes, and
-// selection strategies. "Byte-identical" is meant literally: every
-// comparison below is memcmp over the raw float/double storage, not an
-// epsilon check.
+// Blocked-kernel equivalence: the batched score/gradient/Adam kernels and
+// the batch pass must be byte-identical to the scalar reference forms
+// (tests/support) — per kernel on adversarial inputs (h == t aliasing,
+// non-multiple-of-4 block sizes, coefficients below the underflow floor).
+// "Byte-identical" is meant literally: every comparison below is memcmp
+// over the raw float/double storage, not an epsilon check.
 //
-// The trainer matrix also pins byte goldens (final-model FNV-1a and the
-// exact per-epoch mean loss), recorded from the scalar path. To re-record
-// after an intentional numeric change, run this binary and paste the
-// "actual" lines printed by the failing cases.
+// End to end, the trainer matrix across models, quantization modes, and
+// selection strategies pins byte goldens (final-model FNV-1a and the
+// exact per-epoch mean loss) recorded from the trainer's former scalar
+// path. To re-record after an intentional numeric change, run this binary
+// and paste the "actual" lines printed by the failing cases.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,10 +20,12 @@
 #include <vector>
 
 #include "core/trainer.hpp"
+#include "kge/adam.hpp"
+#include "kge/batch_pass.hpp"
 #include "kge/model.hpp"
 #include "kge/model_factory.hpp"
-#include "kge/adam.hpp"
 #include "kge/synthetic.hpp"
+#include "support/reference.hpp"
 #include "util/rng.hpp"
 
 namespace dynkge::core {
@@ -147,6 +149,62 @@ TEST(BlockKernels, GradBlockBitIdenticalToScalar) {
   }
 }
 
+// ---- batch pass ------------------------------------------------------
+
+TEST(BlockKernels, BatchPassMatchesScalarReference) {
+  // Positives are the adversarial triples; each gets a varying number of
+  // negatives (0..3), some of them self-loops.
+  const auto positives = adversarial_triples();
+  std::vector<Triple> negatives;
+  std::vector<std::size_t> offsets{0};
+  util::Rng rng(19);
+  for (std::size_t i = 0; i < positives.size(); ++i) {
+    for (std::size_t n = 0; n < i % 4; ++n) {
+      Triple negative = positives[i];
+      negative.tail = static_cast<kge::EntityId>(rng.next_below(60));
+      negatives.push_back(negative);
+    }
+    offsets.push_back(negatives.size());
+  }
+  kge::BatchScratch scratch;
+  for (const char* name : kModels) {
+    // Scale up the model so some loss derivatives saturate below the
+    // floor and those examples are dropped.
+    const auto model = seeded_model(name);
+    for (float& x : model->entities().flat()) x *= 4.0f;
+    for (const auto& [scale, floor] :
+         {std::pair{1.0f, 0.0}, std::pair{0.25f, 1e-2}}) {
+      ModelGrads scalar_grads = model->make_grads();
+      const double scalar_loss = reference::accumulate_batch(
+          *model, positives, negatives, offsets, scale, floor, scalar_grads,
+          0.5);
+      ModelGrads blocked_grads = model->make_grads();
+      const double blocked_loss = kge::accumulate_batch(
+          *model, positives, negatives, offsets, scale, floor, blocked_grads,
+          scratch, 0.5);
+
+      EXPECT_EQ(std::memcmp(&scalar_loss, &blocked_loss, sizeof(double)), 0)
+          << name << " floor " << floor;
+      ASSERT_EQ(scalar_grads.entity.sorted_ids(),
+                blocked_grads.entity.sorted_ids())
+          << name << " floor " << floor;
+      ASSERT_EQ(scalar_grads.relation.sorted_ids(),
+                blocked_grads.relation.sorted_ids())
+          << name << " floor " << floor;
+      for (const auto& slot : scalar_grads.entity.sorted_slots()) {
+        EXPECT_TRUE(same_bytes(scalar_grads.entity.row(slot.id),
+                               blocked_grads.entity.row(slot.id)))
+            << name << " entity row " << slot.id;
+      }
+      for (const auto& slot : scalar_grads.relation.sorted_slots()) {
+        EXPECT_TRUE(same_bytes(scalar_grads.relation.row(slot.id),
+                               blocked_grads.relation.row(slot.id)))
+            << name << " relation row " << slot.id;
+      }
+    }
+  }
+}
+
 // ---- blocked Adam ----------------------------------------------------
 
 kge::SparseGrad make_test_grads(std::int32_t width) {
@@ -172,18 +230,25 @@ TEST(BlockKernels, AdamUpdateRowsMatchesPerRowUpdates) {
   }
   EmbeddingMatrix params_blocked = params_scalar;
 
-  kge::RowAdam scalar_opt(48, 12, config);
+  reference::RowAdam scalar_opt(48, 12, config);
   kge::RowAdam blocked_opt(48, 12, config);
+  kge::RowAdam row_opt(48, 12, config);
+  EmbeddingMatrix params_row = params_scalar;
   const kge::SparseGrad grads = make_test_grads(12);
   // Two steps so the second one exercises carried moment state too.
   for (int step = 0; step < 2; ++step) {
     scalar_opt.begin_step();
     blocked_opt.begin_step();
+    row_opt.begin_step();
     for (const auto& slot : grads.sorted_slots()) {
       scalar_opt.update_row(slot.id, grads.row(slot.id), params_scalar);
+      row_opt.update_row(slot.id, grads.row(slot.id),
+                         params_row.row(slot.id));
     }
     blocked_opt.update_rows(grads, params_blocked);
     EXPECT_TRUE(same_bytes(params_scalar.flat(), params_blocked.flat()))
+        << "step " << step;
+    EXPECT_TRUE(same_bytes(params_scalar.flat(), params_row.flat()))
         << "step " << step;
   }
 }
@@ -199,7 +264,7 @@ TEST(BlockKernels, AdamUpdateRowsScaledMatchesScaleThenUpdate) {
   EmbeddingMatrix params_blocked = params_scalar;
   const float scale = 1.0f / 3.0f;
 
-  kge::RowAdam scalar_opt(48, 12, config);
+  reference::RowAdam scalar_opt(48, 12, config);
   kge::RowAdam blocked_opt(48, 12, config);
   kge::SparseGrad grads_scalar = make_test_grads(12);
   kge::SparseGrad grads_blocked = make_test_grads(12);
@@ -289,7 +354,7 @@ std::string case_name(const TrainerCase& param) {
   return name;
 }
 
-/// Goldens by case name, recorded from the scalar trainer path.
+/// Goldens by case name, recorded from the trainer's former scalar path.
 const Golden& expected_golden(const std::string& name) {
   static const std::vector<std::pair<std::string, Golden>> goldens = {
       {"complex_raw_dense",
@@ -477,27 +542,15 @@ class TrainerBlockEquivalence : public testing::TestWithParam<TrainerCase> {};
 TEST_P(TrainerBlockEquivalence, BlockedPathIsByteIdentical) {
   const std::string name = case_name(GetParam());
   const Golden& expected = expected_golden(name);
+  ASSERT_FALSE(expected.losses.empty()) << name << ": no golden";
   TrainConfig config = trainer_config(GetParam());
-
-  config.host_threads = 1;
-  config.block_kernels = false;
-  const auto scalar = DistributedTrainer(tiny_dataset(), config).train();
-  EXPECT_EQ(golden_of(scalar), expected)
-      << name << " scalar\n  actual: " << render(golden_of(scalar))
-      << "\nexpected: " << render(expected);
-
-  config.block_kernels = true;
   for (const int host_threads : {1, 4}) {
     config.host_threads = host_threads;
-    const auto blocked = DistributedTrainer(tiny_dataset(), config).train();
-    ASSERT_EQ(scalar.epochs, blocked.epochs);
-    EXPECT_TRUE(same_bytes(scalar.model->entities().flat(),
-                           blocked.model->entities().flat()));
-    EXPECT_TRUE(same_bytes(scalar.model->relations().flat(),
-                           blocked.model->relations().flat()));
-    EXPECT_EQ(golden_of(blocked), expected)
-        << name << " blocked host_threads=" << host_threads
-        << "\n  actual: " << render(golden_of(blocked))
+    const Golden actual =
+        golden_of(DistributedTrainer(tiny_dataset(), config).train());
+    EXPECT_EQ(actual, expected)
+        << name << " host_threads=" << host_threads
+        << "\n  actual: " << render(actual)
         << "\nexpected: " << render(expected);
   }
 }

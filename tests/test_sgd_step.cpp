@@ -1,8 +1,8 @@
 // SgdStep equivalence: the hash-free per-triple step must leave every
 // parameter row byte-identical to the ModelGrads step the federated and
 // Hogwild trainers used before it, return the same loss bit for bit, and
-// report the same touched rows in the same order. The reference below is
-// that step, copied verbatim. Comparisons are memcmp over raw storage.
+// report the same touched rows in the same order. The reference is that
+// step (tests/support). Comparisons are memcmp over raw storage.
 #include "kge/sgd_step.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,8 @@
 #include <tuple>
 #include <vector>
 
-#include "kge/loss.hpp"
 #include "kge/model_factory.hpp"
+#include "support/reference.hpp"
 #include "util/rng.hpp"
 
 namespace dynkge::kge {
@@ -22,42 +22,6 @@ namespace {
 
 constexpr std::int32_t kEntities = 9;  // small: h == t comes up often
 constexpr std::int32_t kRelations = 4;
-
-struct ReferenceResult {
-  double loss = 0.0;
-  std::vector<EntityId> entities;  ///< the order the trainers touched them
-  std::vector<RelationId> relations;
-};
-
-/// The per-triple step as the trainers wrote it with ModelGrads.
-ReferenceResult reference_step(KgeModel& model, ModelGrads& step_grads,
-                               const Triple& triple, int label,
-                               float learning_rate, float decay) {
-  ReferenceResult result;
-  const auto lg = logistic_loss(
-      model.score(triple.head, triple.relation, triple.tail), label);
-  result.loss = lg.loss;
-  step_grads.clear();
-  model.accumulate_gradients(triple.head, triple.relation, triple.tail,
-                             static_cast<float>(lg.dscore), step_grads);
-  for (const std::int32_t id : step_grads.entity.sorted_ids()) {
-    auto row = model.entities().row(id);
-    const auto g = step_grads.entity.row(id);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      row[i] -= learning_rate * (g[i] + decay * row[i]);
-    }
-    result.entities.push_back(id);
-  }
-  for (const std::int32_t id : step_grads.relation.sorted_ids()) {
-    auto row = model.relations().row(id);
-    const auto g = step_grads.relation.row(id);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      row[i] -= learning_rate * (g[i] + decay * row[i]);
-    }
-    result.relations.push_back(id);
-  }
-  return result;
-}
 
 /// A model without blocked kernels (DistMult's math, scalar only), for
 /// the step's ModelGrads path.
@@ -151,16 +115,18 @@ TEST_P(SgdStepP, MatchesHashMapStepBitForBit) {
     const int label = i % 5 == 0 ? +1 : -1;
     const float lr = 0.02f + 0.01f * static_cast<float>(i % 3);
 
-    const ReferenceResult want =
-        reference_step(*reference, step_grads, triple, label, lr, decay);
+    const double want_loss = reference::sgd_step(*reference, step_grads,
+                                                 triple, label, lr, decay);
     const SgdStep::Result got = step(triple, label, lr);
 
-    ASSERT_TRUE(same_bits(got.loss, want.loss)) << "step " << i;
+    ASSERT_TRUE(same_bits(got.loss, want_loss)) << "step " << i;
+    // The reference touched its rows in sorted id order.
     ASSERT_EQ(std::vector<EntityId>(got.entities().begin(),
                                     got.entities().end()),
-              want.entities)
+              step_grads.entity.sorted_ids())
         << "step " << i;
-    ASSERT_EQ(std::vector<RelationId>{got.relation}, want.relations)
+    ASSERT_EQ(std::vector<RelationId>{got.relation},
+              step_grads.relation.sorted_ids())
         << "step " << i;
     ASSERT_TRUE(same_bytes(stepped->entities().flat(),
                            reference->entities().flat()))
