@@ -24,10 +24,13 @@
 //
 //  * RotatE: cos/sin of the relation phases are computed once per unique
 //    relation per block (same input -> same libm value, so caching is
-//    byte-safe) instead of once per triple.
+//    byte-safe) instead of once per triple, into per-thread scratch that
+//    is reused across blocks.
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "kge/complex_model.hpp"
@@ -151,31 +154,48 @@ void distmult_grad(const float* __restrict eh, const float* __restrict er,
 
 /// cos/sin of each relation's phase row, computed once per unique relation
 /// per block. Doubles, matching the scalar path's
-/// `const double c = std::cos(phases[i])` exactly.
+/// `const double c = std::cos(phases[i])` exactly. One cache per thread,
+/// reused across calls: a per-relation slot index stamped with the call's
+/// generation stands in for a per-call hash map, so a steady-state call
+/// allocates nothing.
 class RotatePhaseCache {
  public:
-  RotatePhaseCache(std::int32_t k, std::size_t max_relations) : k_(k) {
-    // Reserved up front so get() pointers stay stable across insertions.
-    data_.reserve(2 * static_cast<std::size_t>(k) * max_relations);
+  /// The calling thread's cache, emptied for a block of `block_size`
+  /// items. Room for every relation the block can name is reserved up
+  /// front, so get() pointers stay stable for the call.
+  static RotatePhaseCache& begin(std::int32_t k, std::int32_t num_relations,
+                                 std::size_t block_size) {
+    thread_local RotatePhaseCache cache;
+    const auto relations = static_cast<std::size_t>(num_relations);
+    cache.k_ = k;
+    ++cache.generation_;
+    if (cache.slots_.size() < relations) cache.slots_.resize(relations);
+    cache.data_.clear();
+    cache.data_.reserve(2 * static_cast<std::size_t>(k) *
+                        std::min(block_size, relations));
+    return cache;
   }
 
   /// [cos_0..cos_{k-1}, sin_0..sin_{k-1}] for relation r.
   const double* get(RelationId r, std::span<const float> phases) {
-    const auto [it, inserted] = index_.try_emplace(r, data_.size());
-    if (inserted) {
-      const std::size_t off = data_.size();
-      data_.resize(off + 2 * static_cast<std::size_t>(k_));
+    auto& [generation, offset] = slots_[static_cast<std::size_t>(r)];
+    if (generation != generation_) {
+      generation = generation_;
+      offset = data_.size();
+      data_.resize(offset + 2 * static_cast<std::size_t>(k_));
       for (std::int32_t i = 0; i < k_; ++i) {
-        data_[off + i] = std::cos(phases[i]);
-        data_[off + k_ + i] = std::sin(phases[i]);
+        data_[offset + i] = std::cos(phases[i]);
+        data_[offset + k_ + i] = std::sin(phases[i]);
       }
     }
-    return data_.data() + it->second;
+    return data_.data() + offset;
   }
 
  private:
-  std::int32_t k_;
-  std::unordered_map<RelationId, std::size_t> index_;
+  std::int32_t k_ = 0;
+  std::uint64_t generation_ = 0;
+  /// (generation that filled it, offset into data_), by relation id.
+  std::vector<std::pair<std::uint64_t, std::size_t>> slots_;
   std::vector<double> data_;
 };
 
@@ -318,9 +338,8 @@ void TransEModel::accumulate_gradients_block(std::span<const GradWork> work,
 void RotatEModel::score_triples_block(std::span<const Triple> triples,
                                       std::span<double> out) const {
   const std::int32_t k = rank_;
-  const std::size_t max_relations =
-      std::min(triples.size(), static_cast<std::size_t>(num_relations()));
-  RotatePhaseCache cache(k, max_relations);
+  RotatePhaseCache& cache =
+      RotatePhaseCache::begin(k, num_relations(), triples.size());
   // The distance chains carry a sqrt each, so the win here is the phase
   // cache plus 4 independent chains hiding the sqrt latency.
   std::size_t j = 0;
@@ -350,9 +369,8 @@ void RotatEModel::score_triples_block(std::span<const Triple> triples,
 
 void RotatEModel::accumulate_gradients_block(std::span<const GradWork> work,
                                              ModelGrads& grads) const {
-  const std::size_t max_relations =
-      std::min(work.size(), static_cast<std::size_t>(num_relations()));
-  RotatePhaseCache cache(rank_, max_relations);
+  RotatePhaseCache& cache =
+      RotatePhaseCache::begin(rank_, num_relations(), work.size());
   // The h == t fallback recomputes cos/sin; same inputs, same values.
   grad_block(*this, work, grads, [&](const GradWork& w) {
     rotate_grad(entities_.row(w.h).data(), entities_.row(w.t).data(),
