@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <span>
 #include <string>
@@ -25,6 +24,7 @@
 #include "kge/model.hpp"
 #include "kge/model_factory.hpp"
 #include "kge/synthetic.hpp"
+#include "support/golden.hpp"
 #include "support/reference.hpp"
 #include "util/rng.hpp"
 
@@ -295,46 +295,16 @@ const kge::Dataset& tiny_dataset() {
   return dataset;
 }
 
-/// What a trainer golden pins: final model bytes and the per-epoch loss.
-struct Golden {
-  std::uint64_t model_fnv = 0;
-  std::vector<double> losses;
-
-  bool operator==(const Golden&) const = default;
-};
-
-std::uint64_t fnv1a(std::uint64_t hash, std::span<const float> values) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-  for (std::size_t i = 0; i < values.size_bytes(); ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+using test_support::Golden;
+using test_support::render;
 
 Golden golden_of(const TrainReport& report) {
   Golden golden;
-  golden.model_fnv = fnv1a(
-      fnv1a(0xcbf29ce484222325ULL, report.model->entities().flat()),
-      report.model->relations().flat());
+  golden.model_fnv = test_support::model_fnv(*report.model);
   for (const EpochRecord& record : report.epoch_log) {
     golden.losses.push_back(record.mean_loss);
   }
   return golden;
-}
-
-/// The golden as a C++ initializer (hexfloats, so it round-trips).
-std::string render(const Golden& golden) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "{0x%016llxULL, {",
-                static_cast<unsigned long long>(golden.model_fnv));
-  std::string out = buf;
-  for (std::size_t i = 0; i < golden.losses.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s%a", i == 0 ? "" : ", ",
-                  golden.losses[i]);
-    out += buf;
-  }
-  return out + "}}";
 }
 
 struct TrainerCase {

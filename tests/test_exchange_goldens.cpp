@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "core/federated.hpp"
 #include "core/trainer.hpp"
 #include "kge/synthetic.hpp"
+#include "support/golden.hpp"
 
 namespace dynkge::core {
 namespace {
@@ -49,20 +49,7 @@ struct Golden {
   bool operator==(const Golden&) const = default;
 };
 
-std::uint64_t fnv1a(std::uint64_t hash, std::span<const float> values) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-  for (std::size_t i = 0; i < values.size_bytes(); ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t model_fnv(const kge::KgeModel& model) {
-  const std::uint64_t hash =
-      fnv1a(0xcbf29ce484222325ULL, model.entities().flat());
-  return fnv1a(hash, model.relations().flat());
-}
+using test_support::model_fnv;
 
 /// The golden as a C++ initializer (hexfloats, so it round-trips).
 std::string render(const Golden& golden) {

@@ -15,9 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +26,7 @@
 #include "stream/delta_ingestor.hpp"
 #include "stream/refresh.hpp"
 #include "stream/snapshot_store.hpp"
+#include "support/golden.hpp"
 
 namespace dynkge::core {
 namespace {
@@ -58,42 +57,9 @@ const kge::Dataset& golden_dataset() {
   return dataset;
 }
 
-/// What a golden pins: final model bytes and the per-epoch loss log.
-struct Golden {
-  std::uint64_t model_fnv = 0;
-  std::vector<double> losses;
-
-  bool operator==(const Golden&) const = default;
-};
-
-std::uint64_t fnv1a(std::uint64_t hash, std::span<const float> values) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-  for (std::size_t i = 0; i < values.size_bytes(); ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t model_fnv(const kge::KgeModel& model) {
-  const std::uint64_t hash =
-      fnv1a(0xcbf29ce484222325ULL, model.entities().flat());
-  return fnv1a(hash, model.relations().flat());
-}
-
-/// The golden as a C++ initializer (hexfloats, so it round-trips).
-std::string render(const Golden& golden) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "{0x%016llxULL, {",
-                static_cast<unsigned long long>(golden.model_fnv));
-  std::string out = buf;
-  for (std::size_t i = 0; i < golden.losses.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s%a", i == 0 ? "" : ", ",
-                  golden.losses[i]);
-    out += buf;
-  }
-  return out + "}}";
-}
+using test_support::Golden;
+using test_support::model_fnv;
+using test_support::render;
 
 enum class Run { kFederatedTopK, kHogwild, kRefreshUniform,
                  kRefreshHardMining, kIngestReplay };
