@@ -16,6 +16,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/trainer.hpp"
