@@ -92,6 +92,38 @@ void RowAdam::update_row(std::int32_t row, std::span<const float> grad,
   }
 }
 
+void ScalarOnlyModel::init(util::Rng& rng) {
+  entities_.init_uniform(rng, 0.5f);
+  relations_.init_uniform(rng, 0.5f);
+}
+
+double ScalarOnlyModel::score(kge::EntityId h, kge::RelationId r,
+                              kge::EntityId t) const {
+  double sum = 0.0;
+  const auto eh = entities_.row(h), er = relations_.row(r),
+             et = entities_.row(t);
+  for (std::size_t i = 0; i < eh.size(); ++i) sum += eh[i] * er[i] * et[i];
+  return sum;
+}
+
+void ScalarOnlyModel::accumulate_gradients(kge::EntityId h,
+                                           kge::RelationId r,
+                                           kge::EntityId t, float coeff,
+                                           kge::ModelGrads& grads) const {
+  grads.entity.accumulate(h);
+  grads.entity.accumulate(t);
+  grads.relation.accumulate(r);
+  const auto eh = entities_.row(h), er = relations_.row(r),
+             et = entities_.row(t);
+  const auto gh = grads.entity.row(h), gr = grads.relation.row(r),
+             gt = grads.entity.row(t);
+  for (std::size_t i = 0; i < eh.size(); ++i) {
+    gh[i] += coeff * er[i] * et[i];
+    gr[i] += coeff * eh[i] * et[i];
+    gt[i] += coeff * eh[i] * er[i];
+  }
+}
+
 double sgd_step(kge::KgeModel& model, kge::ModelGrads& grads,
                 const kge::Triple& triple, int label, float learning_rate,
                 float decay) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "kge/adam.hpp"
 #include "kge/model.hpp"
@@ -54,6 +55,24 @@ class RowAdam {
   double bias2_ = 1.0;
   kge::EmbeddingMatrix m_;
   kge::EmbeddingMatrix v_;
+};
+
+/// A model without blocked kernels (DistMult's math, scalar only): it
+/// runs the default score_triples_block / accumulate_gradients_block
+/// hooks, which loop over score() and accumulate_gradients().
+class ScalarOnlyModel final : public kge::KgeModel {
+ public:
+  ScalarOnlyModel(std::int32_t entities, std::int32_t relations,
+                  std::int32_t rank)
+      : KgeModel(entities, relations, rank, rank) {}
+
+  std::string name() const override { return "ScalarOnly"; }
+  void init(util::Rng& rng) override;
+  double score(kge::EntityId h, kge::RelationId r,
+               kge::EntityId t) const override;
+  void accumulate_gradients(kge::EntityId h, kge::RelationId r,
+                            kge::EntityId t, float coeff,
+                            kge::ModelGrads& grads) const override;
 };
 
 /// The per-triple plain-SGD step the federated and Hogwild trainers ran

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -168,10 +170,19 @@ TEST(BlockKernels, BatchPassMatchesScalarReference) {
     offsets.push_back(negatives.size());
   }
   kge::BatchScratch scratch;
-  for (const char* name : kModels) {
+  std::vector<std::string> names(std::begin(kModels), std::end(kModels));
+  names.push_back("scalar_only");  // the default *_block hooks
+  for (const std::string& name : names) {
+    std::unique_ptr<KgeModel> model;
+    if (name == "scalar_only") {
+      model = std::make_unique<reference::ScalarOnlyModel>(60, 12, 12);
+      util::Rng rng(7);
+      model->init(rng);
+    } else {
+      model = seeded_model(name);
+    }
     // Scale up the model so some loss derivatives saturate below the
     // floor and those examples are dropped.
-    const auto model = seeded_model(name);
     for (float& x : model->entities().flat()) x *= 4.0f;
     for (const auto& [scale, floor] :
          {std::pair{1.0f, 0.0}, std::pair{0.25f, 1e-2}}) {

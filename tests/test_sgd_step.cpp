@@ -23,48 +23,12 @@ namespace {
 constexpr std::int32_t kEntities = 9;  // small: h == t comes up often
 constexpr std::int32_t kRelations = 4;
 
-/// A model without blocked kernels (DistMult's math, scalar only), for
-/// the step's ModelGrads path.
-class ScalarOnlyModel final : public KgeModel {
- public:
-  ScalarOnlyModel(std::int32_t entities, std::int32_t relations,
-                  std::int32_t rank)
-      : KgeModel(entities, relations, rank, rank) {}
-
-  std::string name() const override { return "ScalarOnly"; }
-  void init(util::Rng& rng) override {
-    entities_.init_uniform(rng, 0.5f);
-    relations_.init_uniform(rng, 0.5f);
-  }
-  double score(EntityId h, RelationId r, EntityId t) const override {
-    double sum = 0.0;
-    const auto eh = entities_.row(h), er = relations_.row(r),
-               et = entities_.row(t);
-    for (std::size_t i = 0; i < eh.size(); ++i) sum += eh[i] * er[i] * et[i];
-    return sum;
-  }
-  void accumulate_gradients(EntityId h, RelationId r, EntityId t, float coeff,
-                            ModelGrads& grads) const override {
-    grads.entity.accumulate(h);
-    grads.entity.accumulate(t);
-    grads.relation.accumulate(r);
-    const auto eh = entities_.row(h), er = relations_.row(r),
-               et = entities_.row(t);
-    const auto gh = grads.entity.row(h), gr = grads.relation.row(r),
-               gt = grads.entity.row(t);
-    for (std::size_t i = 0; i < eh.size(); ++i) {
-      gh[i] += coeff * er[i] * et[i];
-      gr[i] += coeff * eh[i] * et[i];
-      gt[i] += coeff * eh[i] * er[i];
-    }
-  }
-};
-
 std::unique_ptr<KgeModel> seeded_model(const std::string& name,
                                        std::int32_t rank) {
   std::unique_ptr<KgeModel> model =
       name == "scalar_only"
-          ? std::make_unique<ScalarOnlyModel>(kEntities, kRelations, rank)
+          ? std::make_unique<reference::ScalarOnlyModel>(kEntities, kRelations,
+                                                        rank)
           : make_model(name, kEntities, kRelations, rank);
   util::Rng rng(31);
   model->init(rng);
